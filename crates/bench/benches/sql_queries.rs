@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use squery::{SQuery, SQueryConfig, StateConfig};
+use squery_bench::util::{populate_snapshot, qcommerce_fixture};
 use squery_common::Value;
-use squery_qcommerce::events::{order_info_event, order_status_event};
+use squery_qcommerce::events::order_info_event;
 use squery_qcommerce::QUERY_1;
 use squery_sql::parser::parse;
 
@@ -13,36 +14,13 @@ use squery_sql::parser::parse;
 fn populated_system(orders: u64) -> SQuery {
     let config = SQueryConfig::default().with_state(StateConfig::live_and_snapshot());
     let system = SQuery::new(config).unwrap();
-    let grid = system.grid();
-    let info_store = grid.snapshot_store("orderinfo");
-    let state_store = grid.snapshot_store("orderstate");
-    info_store.set_value_schema(squery_qcommerce::events::order_info_schema());
-    state_store.set_value_schema(squery_qcommerce::events::order_state_schema());
-    let info_live = grid.map("orderinfo");
+    populate_snapshot(&system, qcommerce_fixture(orders));
+    let info_live = system.grid().map("orderinfo");
     info_live.set_value_schema(squery_qcommerce::events::order_info_schema());
-    let ssid = grid.registry().begin().unwrap();
-    for pid in 0..grid.partitioner().partition_count() {
-        info_store.write_partition(ssid, squery_common::PartitionId(pid), vec![], true);
-        state_store.write_partition(ssid, squery_common::PartitionId(pid), vec![], true);
-    }
     for o in 0..orders {
         let info = order_info_event(o);
-        let status = order_status_event(o, 7);
-        info_live.put(info.key.clone(), info.value.clone());
-        info_store.write_partition(
-            ssid,
-            info_store.partition_of(&info.key),
-            vec![(info.key, Some(info.value))],
-            true,
-        );
-        state_store.write_partition(
-            ssid,
-            state_store.partition_of(&status.key),
-            vec![(status.key, Some(status.value))],
-            true,
-        );
+        info_live.put(info.key, info.value);
     }
-    grid.registry().commit(ssid).unwrap();
     system
 }
 

@@ -21,9 +21,7 @@
 //! ```
 
 use squery::{SQuery, SQueryConfig, StateConfig};
-use squery_common::{PartitionId, SnapshotId, Value};
-use squery_nexmark::q6::{average_state_schema, maxbid_state_schema};
-use squery_qcommerce::events::{order_info_event, order_status_event};
+use squery_bench::util::{nexmark_fixture, populate_snapshot, qcommerce_fixture, SnapshotFixture};
 use squery_qcommerce::{QUERY_1, QUERY_2, QUERY_3, QUERY_4};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -78,101 +76,12 @@ fn parse_args() -> Args {
     args
 }
 
-/// The q-commerce fixture: orderinfo/orderstate snapshot state for `orders`
-/// keys, written directly (no job) for setup speed.
-fn qcommerce_system(orders: u64) -> SQuery {
+/// A system whose snapshot stores hold `fixtures` as one committed round
+/// (written directly, no job, for setup speed).
+fn fixture_system(fixtures: Vec<SnapshotFixture>) -> SQuery {
     let system =
         SQuery::new(SQueryConfig::default().with_state(StateConfig::live_and_snapshot())).unwrap();
-    let grid = system.grid();
-    let info_store = grid.snapshot_store("orderinfo");
-    let state_store = grid.snapshot_store("orderstate");
-    info_store.set_value_schema(squery_qcommerce::events::order_info_schema());
-    state_store.set_value_schema(squery_qcommerce::events::order_state_schema());
-    let ssid = grid.registry().begin().unwrap();
-    for pid in 0..grid.partitioner().partition_count() {
-        info_store.write_partition(ssid, PartitionId(pid), vec![], true);
-        state_store.write_partition(ssid, PartitionId(pid), vec![], true);
-    }
-    for o in 0..orders {
-        let info = order_info_event(o);
-        let status = order_status_event(o, 7);
-        info_store.write_partition(
-            ssid,
-            info_store.partition_of(&info.key),
-            vec![(info.key, Some(info.value))],
-            true,
-        );
-        state_store.write_partition(
-            ssid,
-            state_store.partition_of(&status.key),
-            vec![(status.key, Some(status.value))],
-            true,
-        );
-    }
-    grid.registry().commit(ssid).unwrap();
-    system
-}
-
-/// The NEXMark q6 fixture: per-auction maxbid state and per-seller average
-/// state, written directly to the snapshot stores.
-fn nexmark_system(sellers: u64) -> SQuery {
-    let system =
-        SQuery::new(SQueryConfig::default().with_state(StateConfig::live_and_snapshot())).unwrap();
-    let grid = system.grid();
-    let maxbid = grid.snapshot_store("maxbid");
-    let average = grid.snapshot_store("average");
-    maxbid.set_value_schema(maxbid_state_schema());
-    average.set_value_schema(average_state_schema());
-    let ssid = grid.registry().begin().unwrap();
-    for pid in 0..grid.partitioner().partition_count() {
-        maxbid.write_partition(ssid, PartitionId(pid), vec![], true);
-        average.write_partition(ssid, PartitionId(pid), vec![], true);
-    }
-    let write = |store: &std::sync::Arc<squery_storage::SnapshotStore>,
-                 ssid: SnapshotId,
-                 key: Value,
-                 value: Value| {
-        store.write_partition(
-            ssid,
-            store.partition_of(&key),
-            vec![(key, Some(value))],
-            true,
-        );
-    };
-    for s in 0..sellers {
-        // ~5 auctions per seller in maxbid, one average row per seller.
-        for a in 0..5u64 {
-            let auction = (s * 5 + a) as i64;
-            write(
-                &maxbid,
-                ssid,
-                Value::Int(auction),
-                Value::record(
-                    &maxbid_state_schema(),
-                    vec![
-                        Value::Int(s as i64),
-                        Value::Float((auction % 97) as f64 + 0.25),
-                        Value::Bool(auction % 3 == 0),
-                    ],
-                ),
-            );
-        }
-        write(
-            &average,
-            ssid,
-            Value::Int(s as i64),
-            Value::record(
-                &average_state_schema(),
-                vec![
-                    Value::Int(10),
-                    Value::Float(s as f64 * 3.0),
-                    Value::Float(s as f64 * 0.3),
-                    Value::list(vec![Value::Float(s as f64)]),
-                ],
-            ),
-        );
-    }
-    grid.registry().commit(ssid).unwrap();
+    populate_snapshot(&system, fixtures);
     system
 }
 
@@ -344,7 +253,7 @@ fn check_regressions(reports: &[QueryReport], baseline: &[BaselineEntry]) -> Vec
 
 /// One full measurement pass over every gated query.
 fn measure_all(args: &Args) -> Vec<QueryReport> {
-    let qsys = qcommerce_system(args.orders);
+    let qsys = fixture_system(qcommerce_fixture(args.orders));
     let mut reports = Vec::new();
     for (name, sql) in [
         ("q1", QUERY_1),
@@ -355,7 +264,7 @@ fn measure_all(args: &Args) -> Vec<QueryReport> {
         reports.push(run_query(&qsys, name, sql, args.iters));
     }
     drop(qsys);
-    let nsys = nexmark_system(args.sellers);
+    let nsys = fixture_system(nexmark_fixture(args.sellers));
     reports.push(run_query(&nsys, "nexmark_q6", NEXMARK_Q6, args.iters));
     reports
 }

@@ -2,8 +2,12 @@
 
 use squery::{SQuery, SQueryConfig, StateConfig};
 use squery_common::metrics::Histogram;
-use squery_common::Value;
+use squery_common::{PartitionId, Schema, SnapshotId, Value};
+use squery_nexmark::q6::{average_state_schema, maxbid_state_schema};
 use squery_nexmark::{q6_job, NexmarkConfig};
+use squery_qcommerce::events::{
+    order_info_event, order_info_schema, order_state_schema, order_status_event,
+};
 use squery_qcommerce::{order_monitoring_job, QCommerceConfig};
 use squery_streaming::JobHandle;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -386,6 +390,120 @@ pub fn rider_state_entries(keys: u64) -> Vec<(Value, Value)> {
             )
         })
         .collect()
+}
+
+/// One snapshot table of a store-poking fixture: the operator whose
+/// `snapshot_<store>` table it fills, its value schema, and its entries.
+pub struct SnapshotFixture {
+    /// Operator (store) name.
+    pub store: &'static str,
+    /// State-object schema registered on the store.
+    pub schema: Arc<Schema>,
+    /// `(key, state object)` pairs.
+    pub entries: Vec<(Value, Value)>,
+}
+
+/// The q-commerce Queries 1–4 state for `orders` orders: `orderinfo` and
+/// `orderstate` (every order in its final status).
+pub fn qcommerce_fixture(orders: u64) -> Vec<SnapshotFixture> {
+    let info = (0..orders).map(|o| {
+        let e = order_info_event(o);
+        (e.key, e.value)
+    });
+    let state = (0..orders).map(|o| {
+        let e = order_status_event(o, 7);
+        (e.key, e.value)
+    });
+    vec![
+        SnapshotFixture {
+            store: "orderinfo",
+            schema: order_info_schema(),
+            entries: info.collect(),
+        },
+        SnapshotFixture {
+            store: "orderstate",
+            schema: order_state_schema(),
+            entries: state.collect(),
+        },
+    ]
+}
+
+/// The NEXMark q6 state for `sellers` sellers: five `maxbid` auctions per
+/// seller and one `average` row per seller.
+pub fn nexmark_fixture(sellers: u64) -> Vec<SnapshotFixture> {
+    let maxbid = (0..sellers * 5).map(|auction| {
+        let value = vec![
+            Value::Int((auction / 5) as i64),
+            Value::Float((auction % 97) as f64 + 0.25),
+            Value::Bool(auction % 3 == 0),
+        ];
+        let value = Value::record(&maxbid_state_schema(), value);
+        (Value::Int(auction as i64), value)
+    });
+    let average = (0..sellers).map(|s| {
+        let value = vec![
+            Value::Int(10),
+            Value::Float(s as f64 * 3.0),
+            Value::Float(s as f64 * 0.3),
+            Value::list(vec![Value::Float(s as f64)]),
+        ];
+        (
+            Value::Int(s as i64),
+            Value::record(&average_state_schema(), value),
+        )
+    });
+    vec![
+        SnapshotFixture {
+            store: "maxbid",
+            schema: maxbid_state_schema(),
+            entries: maxbid.collect(),
+        },
+        SnapshotFixture {
+            store: "average",
+            schema: average_state_schema(),
+            entries: average.collect(),
+        },
+    ]
+}
+
+/// Write `fixtures` straight into the snapshot stores as one sealed (when a
+/// WAL is attached) and committed full checkpoint round, and check that
+/// every `snapshot_<store>` table then holds exactly its fixture's rows.
+///
+/// Entries are batched per partition — one `write_partition` per partition,
+/// as phase 1 produces. A repeated `(ssid, partition)` write *replaces* the
+/// earlier one (coordinator retry), so writing row by row would leave one
+/// row per partition whatever the fixture size.
+pub fn populate_snapshot(system: &SQuery, fixtures: Vec<SnapshotFixture>) -> SnapshotId {
+    let grid = system.grid();
+    let ssid = grid.registry().begin().expect("begin fixture round");
+    let mut sizes = Vec::with_capacity(fixtures.len());
+    for f in fixtures {
+        let store = grid.snapshot_store(f.store);
+        store.set_value_schema(f.schema);
+        let mut parts: Vec<Vec<(Value, Option<Value>)>> =
+            vec![Vec::new(); store.partition_count() as usize];
+        sizes.push((f.store, f.entries.len()));
+        for (k, v) in f.entries {
+            parts[store.partition_of(&k).0 as usize].push((k, Some(v)));
+        }
+        for (pid, entries) in parts.into_iter().enumerate() {
+            store.write_partition(ssid, PartitionId(pid as u32), entries, true);
+        }
+    }
+    grid.wal_seal(ssid).expect("seal fixture round");
+    grid.registry().commit(ssid).expect("commit fixture round");
+    for (store, size) in sizes {
+        let rs = system
+            .query(&format!("SELECT COUNT(*) AS n FROM \"snapshot_{store}\""))
+            .expect("fixture count query");
+        assert_eq!(
+            rs.scalar("n"),
+            Some(&Value::Int(size as i64)),
+            "snapshot_{store} must hold every fixture row"
+        );
+    }
+    ssid
 }
 
 #[cfg(test)]

@@ -6,16 +6,12 @@
 //! pre-kill captures — the acceptance shape of the durability story, run
 //! by the `durability` soak binary on every CI push.
 
+use crate::util::{nexmark_fixture, populate_snapshot, qcommerce_fixture};
 use squery::{FsyncMode, SQuery, SQueryConfig, StateConfig, StateView};
-use squery_common::{PartitionId, SnapshotId, Value};
+use squery_common::{SnapshotId, Value};
 use squery_nexmark::q6::{average_state_schema, maxbid_state_schema};
-use squery_qcommerce::events::{order_info_event, order_status_event};
 use squery_qcommerce::{QUERY_1, QUERY_2, QUERY_3, QUERY_4};
-use std::collections::BTreeMap;
 use std::path::Path;
-
-/// One store's phase-1 batches, keyed by partition.
-type PartitionBatches = BTreeMap<PartitionId, Vec<(Value, Option<Value>)>>;
 
 /// The q6 analytics join over the two operator states (the bench gate's
 /// shape, aggregated so the result is scale-independent).
@@ -49,78 +45,12 @@ fn set_schemas(system: &SQuery) {
         .set_value_schema(average_state_schema());
 }
 
-/// Write the full workload fixture as one checkpoint round: every store's
-/// entries batched per partition (one `write_partition` per partition, as
-/// phase 1 produces), then sealed and committed.
+/// Write the full workload fixture as one sealed, committed checkpoint
+/// round.
 fn populate(system: &SQuery) -> SnapshotId {
-    let grid = system.grid();
-    let ssid = grid.registry().begin().unwrap();
-    let stores = ["orderinfo", "orderstate", "maxbid", "average"];
-    let mut batches: BTreeMap<&str, PartitionBatches> =
-        stores.iter().map(|s| (*s, BTreeMap::new())).collect();
-    let pid_of = |store: &str, key: &Value| grid.snapshot_store(store).partition_of(key);
-    for o in 0..ORDERS {
-        let info = order_info_event(o);
-        let status = order_status_event(o, 7);
-        batches
-            .get_mut("orderinfo")
-            .unwrap()
-            .entry(pid_of("orderinfo", &info.key))
-            .or_default()
-            .push((info.key, Some(info.value)));
-        batches
-            .get_mut("orderstate")
-            .unwrap()
-            .entry(pid_of("orderstate", &status.key))
-            .or_default()
-            .push((status.key, Some(status.value)));
-    }
-    for s in 0..SELLERS {
-        for a in 0..5u64 {
-            let auction = (s * 5 + a) as i64;
-            let key = Value::Int(auction);
-            let value = Value::record(
-                &maxbid_state_schema(),
-                vec![
-                    Value::Int(s as i64),
-                    Value::Float((auction % 97) as f64 + 0.25),
-                    Value::Bool(auction % 3 == 0),
-                ],
-            );
-            batches
-                .get_mut("maxbid")
-                .unwrap()
-                .entry(pid_of("maxbid", &key))
-                .or_default()
-                .push((key, Some(value)));
-        }
-        let key = Value::Int(s as i64);
-        let value = Value::record(
-            &average_state_schema(),
-            vec![
-                Value::Int(10),
-                Value::Float(s as f64 * 3.0),
-                Value::Float(s as f64 * 0.3),
-                Value::list(vec![Value::Float(s as f64)]),
-            ],
-        );
-        batches
-            .get_mut("average")
-            .unwrap()
-            .entry(pid_of("average", &key))
-            .or_default()
-            .push((key, Some(value)));
-    }
-    for (name, parts) in batches {
-        let store = grid.snapshot_store(name);
-        for pid in 0..grid.partitioner().partition_count() {
-            let entries = parts.get(&PartitionId(pid)).cloned().unwrap_or_default();
-            store.write_partition(ssid, PartitionId(pid), entries, true);
-        }
-    }
-    grid.wal_seal(ssid).unwrap();
-    grid.registry().commit(ssid).unwrap();
-    ssid
+    let mut fixtures = qcommerce_fixture(ORDERS);
+    fixtures.extend(nexmark_fixture(SELLERS));
+    populate_snapshot(system, fixtures)
 }
 
 /// `Value`'s `Display` walks struct fields in schema order, unlike `Debug`

@@ -24,7 +24,7 @@ use squery_streaming::dag::adapters::NullSinkFactory;
 use squery_streaming::dag::{Stateful, StatefulFactory};
 use squery_streaming::state::KeyedState;
 use squery_streaming::{EdgeKind, JobSpec, Record};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Window width: the paper averages over the last 10 auctions per seller.
 pub const LAST_N_AUCTIONS: usize = 10;
@@ -38,23 +38,31 @@ pub struct Q6Vertices {
     pub average: &'static str,
 }
 
-/// Schema of the `maxbid` operator's state objects.
+/// Schema of the `maxbid` operator's state objects (one shared `Arc` per
+/// process, so state objects carry the registered schema itself).
 pub fn maxbid_state_schema() -> Arc<Schema> {
-    schema(vec![
-        ("seller", DataType::Int),
-        ("best", DataType::Float),
-        ("open", DataType::Bool),
-    ])
+    static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
+    Arc::clone(SCHEMA.get_or_init(|| {
+        schema(vec![
+            ("seller", DataType::Int),
+            ("best", DataType::Float),
+            ("open", DataType::Bool),
+        ])
+    }))
 }
 
-/// Schema of the `average` operator's state objects.
+/// Schema of the `average` operator's state objects (shared like
+/// [`maxbid_state_schema`]).
 pub fn average_state_schema() -> Arc<Schema> {
-    schema(vec![
-        ("count", DataType::Int),
-        ("total", DataType::Float),
-        ("average", DataType::Float),
-        ("prices", DataType::List),
-    ])
+    static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
+    Arc::clone(SCHEMA.get_or_init(|| {
+        schema(vec![
+            ("count", DataType::Int),
+            ("total", DataType::Float),
+            ("average", DataType::Float),
+            ("prices", DataType::List),
+        ])
+    }))
 }
 
 /// Per-auction highest-bid tracking; emits `(seller, price)` on CLOSE.

@@ -5,7 +5,7 @@ use squery_common::{DataType, Value};
 use squery_streaming::dag::SourceFactory;
 use squery_streaming::source::{GeneratorSource, Source};
 use squery_streaming::Record;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The order state machine of §VIII (several intermediate states the paper
 /// omits "for space savings" are represented by the ones its queries use).
@@ -101,35 +101,48 @@ pub fn category_of_order(o: u64) -> &'static str {
 }
 
 // ---- schemas ---------------------------------------------------------------
+//
+// Each schema is built once per process and shared, so every state object
+// carries the very `Arc` its operator registers and scans read its fields
+// by position.
 
 /// State-object schema of the `orderinfo` operator (the one-time order event).
 pub fn order_info_schema() -> Arc<Schema> {
-    schema(vec![
-        ("deliveryZone", DataType::Str),
-        ("vendorCategory", DataType::Str),
-        ("customerLat", DataType::Float),
-        ("customerLon", DataType::Float),
-        ("vendorLat", DataType::Float),
-        ("vendorLon", DataType::Float),
-    ])
+    static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
+    Arc::clone(SCHEMA.get_or_init(|| {
+        schema(vec![
+            ("deliveryZone", DataType::Str),
+            ("vendorCategory", DataType::Str),
+            ("customerLat", DataType::Float),
+            ("customerLon", DataType::Float),
+            ("vendorLat", DataType::Float),
+            ("vendorLon", DataType::Float),
+        ])
+    }))
 }
 
 /// State-object schema of the `orderstate` operator (latest status).
 pub fn order_state_schema() -> Arc<Schema> {
-    schema(vec![
-        ("orderState", DataType::Str),
-        ("lateTimestamp", DataType::Timestamp),
-    ])
+    static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
+    Arc::clone(SCHEMA.get_or_init(|| {
+        schema(vec![
+            ("orderState", DataType::Str),
+            ("lateTimestamp", DataType::Timestamp),
+        ])
+    }))
 }
 
 /// State-object schema of the `riderlocation` operator (Figure 14's state:
 /// two doubles and the last-update time).
 pub fn rider_location_schema() -> Arc<Schema> {
-    schema(vec![
-        ("lat", DataType::Float),
-        ("lon", DataType::Float),
-        ("updated", DataType::Timestamp),
-    ])
+    static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
+    Arc::clone(SCHEMA.get_or_init(|| {
+        schema(vec![
+            ("lat", DataType::Float),
+            ("lon", DataType::Float),
+            ("updated", DataType::Timestamp),
+        ])
+    }))
 }
 
 fn coord(seed: u64, base: f64) -> f64 {

@@ -220,7 +220,7 @@ fn execute_parallel(plan: &PhysicalPlan, ctx: &ExecContext) -> SqResult<Vec<Vec<
         let scan = &plan.scans[0];
         let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
         let timer = start_node(ctx, "join_build", "join0".into());
-        let (table, _, _) = build_join_table(&slices, &plan.joins[0].left_keys, ctx, "scan0")?;
+        let table = build_join_table(&slices, &plan.joins[0].left_keys, ctx, "scan0")?;
         if let Some(t) = timer {
             t.close(0, 0);
         }
@@ -229,7 +229,7 @@ fn execute_parallel(plan: &PhysicalPlan, ctx: &ExecContext) -> SqResult<Vec<Vec<
         for (i, (scan, join)) in plan.scans[1..].iter().zip(plan.joins.iter()).enumerate() {
             let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
             let timer = start_node(ctx, "join_build", format!("join{i}"));
-            let (table, _, _) =
+            let table =
                 build_join_table(&slices, &join.right_keys, ctx, &format!("scan{}", i + 1))?;
             if let Some(t) = timer {
                 t.close(0, 0);
@@ -281,27 +281,21 @@ enum Unit {
     Range(usize, usize),
 }
 
-/// Morsel driver: workers claim units from an atomic cursor, map each unit's
-/// rows through `f`, and the results come back **in unit order** — the
-/// ordering contract every deterministic merge above relies on.
-///
-/// Traced queries open one `slice` span per claimed unit, folding the slice's
-/// scanned rows (and one claimed slice) into plan node `node`'s statistics.
-pub(crate) fn parallel_scan<R: Send>(
-    slices: &TableSlices,
+/// Split a resolved scan into claimable units: one per slice, or row-range
+/// morsels of a whole-materialized scan (then also returned for the ranges
+/// to index into).
+fn units_of<'a>(
+    slices: &'a TableSlices,
     ctx: &ExecContext,
-    node: &str,
-    f: impl Fn(&[Vec<Value>], usize) -> SqResult<R> + Sync,
-) -> SqResult<Vec<R>> {
-    let dop = ctx.parallelism.degree;
-    let (units, whole_rows): (Vec<Unit>, Option<&Vec<Vec<Value>>>) = match slices {
+) -> (Vec<Unit>, Option<&'a Vec<Vec<Value>>>) {
+    match slices {
         TableSlices::Sliced(s) => ((0..s.slice_count()).map(Unit::Slice).collect(), None),
         TableSlices::Whole(rows) => {
             let n = rows.len();
             let chunk = ctx
                 .parallelism
                 .min_morsel_rows
-                .max(n.div_ceil(dop * 4))
+                .max(n.div_ceil(ctx.parallelism.degree * 4))
                 .max(1);
             let mut units = Vec::new();
             let mut start = 0;
@@ -312,8 +306,18 @@ pub(crate) fn parallel_scan<R: Send>(
             }
             (units, Some(rows))
         }
-    };
-    let n_units = units.len();
+    }
+}
+
+/// Morsel driver core: `dop` scoped workers claim unit indexes `0..n_units`
+/// from an atomic cursor and run `f` on each; results come back **in unit
+/// order** — the ordering contract every deterministic merge relies on. The
+/// first error stops further claims and is returned.
+fn claim_units<R: Send>(
+    n_units: usize,
+    dop: usize,
+    f: impl Fn(usize) -> SqResult<R> + Sync,
+) -> SqResult<Vec<R>> {
     if n_units == 0 {
         return Ok(Vec::new());
     }
@@ -321,9 +325,8 @@ pub(crate) fn parallel_scan<R: Send>(
     let failed = AtomicBool::new(false);
     let first_error: Mutex<Option<SqError>> = Mutex::new(None);
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n_units).map(|_| None).collect());
-    let workers = dop.min(n_units);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..dop.min(n_units) {
             scope.spawn(|| loop {
                 if failed.load(AtomicOrdering::Acquire) {
                     return;
@@ -332,41 +335,7 @@ pub(crate) fn parallel_scan<R: Send>(
                 if i >= n_units {
                     return;
                 }
-                let out = (|| -> SqResult<R> {
-                    let timer = start_node(ctx, "slice", node.to_string());
-                    let scanned;
-                    let result = match units[i] {
-                        Unit::Slice(s) => {
-                            let TableSlices::Sliced(sl) = slices else {
-                                unreachable!("slice units imply sliced scan")
-                            };
-                            let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
-                            let rows = sl.scan_slice(s)?;
-                            if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
-                                h.record(t0.elapsed().as_micros() as u64);
-                            }
-                            if let Some(c) = &ctx.rows_scanned {
-                                c.add(rows.len() as u64);
-                            }
-                            scanned = rows.len() as u64;
-                            f(&rows, i)
-                        }
-                        Unit::Range(a, b) => {
-                            let rows = &whole_rows.expect("range units imply whole rows")[a..b];
-                            if let Some(c) = &ctx.rows_scanned {
-                                c.add(rows.len() as u64);
-                            }
-                            scanned = rows.len() as u64;
-                            f(rows, i)
-                        }
-                    };
-                    if let Some(mut t) = timer {
-                        t.guard.label("unit", i);
-                        t.close(scanned, 1);
-                    }
-                    result
-                })();
-                match out {
+                match f(i) {
                     Ok(r) => results.lock()[i] = Some(r),
                     Err(e) => {
                         failed.store(true, AtomicOrdering::Release);
@@ -388,6 +357,54 @@ pub(crate) fn parallel_scan<R: Send>(
         .into_iter()
         .map(|r| r.expect("every unit completed"))
         .collect())
+}
+
+/// Morsel driver over rows: workers claim units, map each unit's rows
+/// through `f`, and the results come back in unit order.
+///
+/// Traced queries open one `slice` span per claimed unit, folding the slice's
+/// scanned rows (and one claimed slice) into plan node `node`'s statistics.
+fn parallel_scan<R: Send>(
+    slices: &TableSlices,
+    ctx: &ExecContext,
+    node: &str,
+    f: impl Fn(&[Vec<Value>], usize) -> SqResult<R> + Sync,
+) -> SqResult<Vec<R>> {
+    let (units, whole_rows) = units_of(slices, ctx);
+    claim_units(units.len(), ctx.parallelism.degree, |i| {
+        let timer = start_node(ctx, "slice", node.to_string());
+        let scanned;
+        let result = match units[i] {
+            Unit::Slice(s) => {
+                let TableSlices::Sliced(sl) = slices else {
+                    unreachable!("slice units imply sliced scan")
+                };
+                let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
+                let rows = sl.scan_slice(s)?;
+                if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
+                    h.record(t0.elapsed().as_micros() as u64);
+                }
+                if let Some(c) = &ctx.rows_scanned {
+                    c.add(rows.len() as u64);
+                }
+                scanned = rows.len() as u64;
+                f(&rows, i)
+            }
+            Unit::Range(a, b) => {
+                let rows = &whole_rows.expect("range units imply whole rows")[a..b];
+                if let Some(c) = &ctx.rows_scanned {
+                    c.add(rows.len() as u64);
+                }
+                scanned = rows.len() as u64;
+                f(rows, i)
+            }
+        };
+        if let Some(mut t) = timer {
+            t.guard.label("unit", i);
+            t.close(scanned, 1);
+        }
+        result
+    })
 }
 
 /// The batch twin of [`parallel_scan`]: the same unit claiming, ordering,
@@ -404,107 +421,47 @@ pub(crate) fn parallel_scan_batches<R: Send>(
     cols: &[usize],
     f: impl Fn(&[Arc<ColumnarBatch>], usize) -> SqResult<R> + Sync,
 ) -> SqResult<Vec<R>> {
-    let dop = ctx.parallelism.degree;
-    let (units, whole_rows): (Vec<Unit>, Option<&Vec<Vec<Value>>>) = match slices {
-        TableSlices::Sliced(s) => ((0..s.slice_count()).map(Unit::Slice).collect(), None),
-        TableSlices::Whole(rows) => {
-            let n = rows.len();
-            let chunk = ctx
-                .parallelism
-                .min_morsel_rows
-                .max(n.div_ceil(dop * 4))
-                .max(1);
-            let mut units = Vec::new();
-            let mut start = 0;
-            while start < n {
-                let end = (start + chunk).min(n);
-                units.push(Unit::Range(start, end));
-                start = end;
+    let (units, whole_rows) = units_of(slices, ctx);
+    claim_units(units.len(), ctx.parallelism.degree, |i| {
+        let timer = start_node(ctx, "slice", node.to_string());
+        let scanned;
+        let result = match units[i] {
+            Unit::Slice(s) => {
+                let TableSlices::Sliced(sl) = slices else {
+                    unreachable!("slice units imply sliced scan")
+                };
+                let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
+                let batches = crate::catalog::slice_batches_cached(&**sl, s, cols)?;
+                if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
+                    h.record(t0.elapsed().as_micros() as u64);
+                }
+                let rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
+                if let Some(c) = &ctx.rows_scanned {
+                    c.add(rows);
+                }
+                scanned = rows;
+                f(&batches, i)
             }
-            (units, Some(rows))
+            Unit::Range(a, b) => {
+                let rows = &whole_rows.expect("range units imply whole rows")[a..b];
+                if let Some(c) = &ctx.rows_scanned {
+                    c.add(rows.len() as u64);
+                }
+                scanned = rows.len() as u64;
+                let batches: Vec<Arc<ColumnarBatch>> =
+                    ColumnarBatch::from_rows_chunked_cols(rows, cols)
+                        .into_iter()
+                        .map(Arc::new)
+                        .collect();
+                f(&batches, i)
+            }
+        };
+        if let Some(mut t) = timer {
+            t.guard.label("unit", i);
+            t.close(scanned, 1);
         }
-    };
-    let n_units = units.len();
-    if n_units == 0 {
-        return Ok(Vec::new());
-    }
-    let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let first_error: Mutex<Option<SqError>> = Mutex::new(None);
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n_units).map(|_| None).collect());
-    let workers = dop.min(n_units);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if failed.load(AtomicOrdering::Acquire) {
-                    return;
-                }
-                let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                if i >= n_units {
-                    return;
-                }
-                let out = (|| -> SqResult<R> {
-                    let timer = start_node(ctx, "slice", node.to_string());
-                    let scanned;
-                    let result = match units[i] {
-                        Unit::Slice(s) => {
-                            let TableSlices::Sliced(sl) = slices else {
-                                unreachable!("slice units imply sliced scan")
-                            };
-                            let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
-                            let batches = crate::catalog::slice_batches_cached(&**sl, s, cols)?;
-                            if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
-                                h.record(t0.elapsed().as_micros() as u64);
-                            }
-                            let rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
-                            if let Some(c) = &ctx.rows_scanned {
-                                c.add(rows);
-                            }
-                            scanned = rows;
-                            f(&batches, i)
-                        }
-                        Unit::Range(a, b) => {
-                            let rows = &whole_rows.expect("range units imply whole rows")[a..b];
-                            if let Some(c) = &ctx.rows_scanned {
-                                c.add(rows.len() as u64);
-                            }
-                            scanned = rows.len() as u64;
-                            let batches: Vec<Arc<ColumnarBatch>> =
-                                ColumnarBatch::from_rows_chunked_cols(rows, cols)
-                                    .into_iter()
-                                    .map(Arc::new)
-                                    .collect();
-                            f(&batches, i)
-                        }
-                    };
-                    if let Some(mut t) = timer {
-                        t.guard.label("unit", i);
-                        t.close(scanned, 1);
-                    }
-                    result
-                })();
-                match out {
-                    Ok(r) => results.lock()[i] = Some(r),
-                    Err(e) => {
-                        failed.store(true, AtomicOrdering::Release);
-                        let mut g = first_error.lock();
-                        if g.is_none() {
-                            *g = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-    Ok(results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every unit completed"))
-        .collect())
+        result
+    })
 }
 
 /// One shard of the in-progress join build: key → `(row seq, row)` matches.
@@ -513,23 +470,14 @@ type BuildShard = Mutex<HashMap<Vec<Value>, Vec<(u64, Vec<Value>)>>>;
 type BuildEntry = (Vec<Value>, u64, Vec<Value>);
 
 /// A frozen, shard-partitioned join build table.
-pub(crate) struct FrozenJoinTable {
+struct FrozenJoinTable {
     shards: Vec<HashMap<Vec<Value>, Vec<Vec<Value>>>>,
     mask: u64,
 }
 
 impl FrozenJoinTable {
-    pub(crate) fn get(&self, key: &[Value]) -> Option<&Vec<Vec<Value>>> {
+    fn get(&self, key: &[Value]) -> Option<&Vec<Vec<Value>>> {
         self.shards[(shard_hash(key) & self.mask) as usize].get(key)
-    }
-
-    /// A single-shard table from an already-ordered build map (sequential
-    /// vectorized execution builds in row order, so no seq-sort is needed).
-    pub(crate) fn from_single(map: HashMap<Vec<Value>, Vec<Vec<Value>>>) -> FrozenJoinTable {
-        FrozenJoinTable {
-            shards: vec![map],
-            mask: 0,
-        }
     }
 }
 
@@ -547,18 +495,18 @@ fn shard_hash(key: &[Value]) -> u64 {
 /// identical to the sequential single-threaded build. `keys` are the build
 /// side's join-key column indexes (`right_keys` normally, `left_keys` when
 /// the cost model flipped the build side).
-pub(crate) fn build_join_table(
+fn build_join_table(
     slices: &TableSlices,
     keys: &[usize],
     ctx: &ExecContext,
     scan_key: &str,
-) -> SqResult<(FrozenJoinTable, u64, u64)> {
+) -> SqResult<FrozenJoinTable> {
     let shard_count = (ctx.parallelism.degree * 4).next_power_of_two();
     let mask = shard_count as u64 - 1;
     let shards: Vec<BuildShard> = (0..shard_count)
         .map(|_| Mutex::new(HashMap::new()))
         .collect();
-    let unit_rows = parallel_scan(slices, ctx, scan_key, |rows, unit| {
+    parallel_scan(slices, ctx, scan_key, |rows, unit| {
         // Bucket locally first so each shard lock is taken at most once per
         // unit.
         let mut local: Vec<Vec<BuildEntry>> = vec![Vec::new(); shard_count];
@@ -586,10 +534,8 @@ pub(crate) fn build_join_table(
                 guard.entry(key).or_default().push((seq, row));
             }
         }
-        Ok(rows.len() as u64)
+        Ok(())
     })?;
-    let scanned: u64 = unit_rows.iter().sum();
-    let units = unit_rows.len() as u64;
     let shards = shards
         .into_iter()
         .map(|m| {
@@ -602,7 +548,7 @@ pub(crate) fn build_join_table(
                 .collect()
         })
         .collect();
-    Ok((FrozenJoinTable { shards, mask }, scanned, units))
+    Ok(FrozenJoinTable { shards, mask })
 }
 
 /// Probe one slice's rows through every join table, then apply the filter.
@@ -647,7 +593,7 @@ fn probe_and_filter(
 /// the left scan normally, the right scan when `join.build_left` flipped the
 /// build side — output columns stay `[left…, kept right…]` either way, only
 /// the row order becomes probe-major.
-pub(crate) fn probe_step(
+fn probe_step(
     probe: &[Vec<Value>],
     table: &FrozenJoinTable,
     join: &JoinNode,

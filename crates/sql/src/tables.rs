@@ -15,6 +15,7 @@ use crate::batch::{ColumnBuilder, ColumnarBatch, BATCH_ROWS};
 use crate::catalog::{Catalog, ExecContext, ScanHints, ScanSlices, SsidMode, Table, TableSlices};
 use parking_lot::RwLock;
 use squery_common::schema::{Field, Schema, KEY_COLUMN, SSID_COLUMN};
+use squery_common::value::StructValue;
 use squery_common::{DataType, PartitionId, SnapshotId, SqError, SqResult, Value};
 use squery_storage::grid::SNAPSHOT_TABLE_PREFIX;
 use squery_storage::{Grid, IMap, SnapshotStore};
@@ -34,15 +35,24 @@ fn value_fields(value_schema: Option<&Arc<Schema>>) -> Vec<Field> {
     }
 }
 
+/// Field `i` of the value schema in struct `sv`: positional when the struct
+/// carries the registered schema itself (the common case — operators build
+/// their state from it), by name otherwise.
+fn field_of<'v>(sv: &'v StructValue, schema: &Arc<Schema>, i: usize) -> &'v Value {
+    if Arc::ptr_eq(sv.schema(), schema) {
+        sv.field_at(i)
+    } else {
+        sv.field(&schema.fields()[i].name).unwrap_or(&Value::Null)
+    }
+}
+
 /// Explode a state object into the value columns of `value_schema`.
 fn explode(value: &Value, value_schema: Option<&Arc<Schema>>) -> Vec<Value> {
     match value_schema {
         None => vec![value.clone()],
         Some(schema) => match value.as_struct() {
-            Some(sv) => schema
-                .fields()
-                .iter()
-                .map(|f| sv.field(&f.name).cloned().unwrap_or(Value::Null))
+            Some(sv) => (0..schema.len())
+                .map(|i| field_of(sv, schema, i).clone())
                 .collect(),
             None if schema.len() == 1 => vec![value.clone()],
             None => vec![Value::Null; schema.len()],
@@ -71,7 +81,7 @@ fn explode_cols(
         Some(schema) => match value.as_struct() {
             Some(sv) => {
                 for &i in fields {
-                    f(sv.field(&schema.fields()[i].name).unwrap_or(&Value::Null));
+                    f(field_of(sv, schema, i));
                 }
             }
             None if schema.len() == 1 => {

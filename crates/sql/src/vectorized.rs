@@ -4,8 +4,8 @@
 //! engine: scans materialize as [`ColumnarBatch`]es (typed column vectors
 //! built at the scan boundary), the `WHERE` clause compiles once per query
 //! into a [`VecPred`] kernel tree evaluated column-at-a-time per batch, the
-//! hash-join probe walks key columns and gathers matches batch-wise against
-//! the same sharded build table the row engine uses, and aggregates fold
+//! hash join builds over the build side's (column-pruned, cached) batches
+//! and its probe gathers matching build cells batch-wise, and aggregates fold
 //! typed columns into the row engine's own accumulators via per-type fast
 //! paths.
 //!
@@ -31,14 +31,16 @@ use crate::ast::{BinaryOp, UnaryOp};
 use crate::batch::{Column, ColumnBuilder, ColumnarBatch, Mask, Tri};
 use crate::catalog::{slice_batches_cached, ExecContext, TableSlices};
 use crate::exec::{
-    accumulate, build_join_table, finish_groups, finish_output, parallel_scan_batches,
-    project_rows, start_node, Acc, FrozenJoinTable, PartialAgg,
+    accumulate, finish_groups, finish_output, parallel_scan_batches, project_rows, start_node, Acc,
+    NodeTimer, PartialAgg,
 };
 use crate::expr::{like_match, BoundExpr};
 use crate::plan::{AggregateNode, JoinNode, PhysicalPlan, ScanNode};
-use squery_common::{SqError, SqResult, Value};
+use squery_common::partition::FnvHasher;
+use squery_common::{SqResult, Value};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -573,20 +575,60 @@ fn filter_selection(lay: &Layout, batch: &ColumnarBatch, ctx: &ExecContext) -> S
 // Batched join probe
 // ---------------------------------------------------------------------------
 
-/// Probe one batch against a frozen build table. `probe_key_pos` are the
-/// join-key positions within the (pruned) probe batch; `build_cols` lists
-/// the build-row columns to append after the probe columns, in ascending
-/// order. Output row order is probe-major, match order within each probe
-/// row — identical to the row engine's probe. Returns a zero-column batch
-/// when nothing matches.
+/// A frozen columnar join build: the build side's scanned batches (shared
+/// with the `"batches"` executor-cache entries of the same columns) and a
+/// map from join key to the packed `batch << 32 | row` ids of its matching
+/// rows, in scan order. Probes gather build cells straight from the
+/// batches; no build row is ever materialized.
+struct JoinTable {
+    batches: Vec<Arc<ColumnarBatch>>,
+    map: HashMap<Vec<Value>, Vec<u64>, BuildHasherDefault<FnvHasher>>,
+}
+
+impl JoinTable {
+    /// Index `batches` (in scan order) by the key columns at `key_pos`.
+    /// Rows with a NULL key component never match and are left out.
+    fn build(batches: Vec<Arc<ColumnarBatch>>, key_pos: &[usize]) -> JoinTable {
+        let rows = batches.iter().map(|b| b.len()).sum();
+        let mut map: HashMap<Vec<Value>, Vec<u64>, _> =
+            HashMap::with_capacity_and_hasher(rows, Default::default());
+        for (bi, b) in batches.iter().enumerate() {
+            'rows: for r in 0..b.len() {
+                let mut key = Vec::with_capacity(key_pos.len());
+                for &p in key_pos {
+                    let v = b.value_at(r, p);
+                    if v.is_null() {
+                        continue 'rows;
+                    }
+                    key.push(v);
+                }
+                map.entry(key)
+                    .or_default()
+                    .push(((bi as u64) << 32) | r as u64);
+            }
+        }
+        JoinTable { batches, map }
+    }
+
+    /// Rows the build scanned (what a cache hit replays).
+    fn rows(&self) -> u64 {
+        self.batches.iter().map(|b| b.len() as u64).sum()
+    }
+}
+
+/// Probe one batch against a build table. `probe_key_pos` are the join-key
+/// positions within the (pruned) probe batch; `build_cols` lists the build
+/// batch positions to append after the probe columns. Output row order is
+/// probe-major, match order within each probe row — identical to the row
+/// engine's probe. Returns a zero-column batch when nothing matches.
 fn probe_batch(
     batch: &ColumnarBatch,
-    table: &FrozenJoinTable,
+    table: &JoinTable,
     probe_key_pos: &[usize],
     build_cols: &[usize],
 ) -> ColumnarBatch {
     let mut probe_idx: Vec<u32> = Vec::new();
-    let mut match_rows: Vec<&Vec<Value>> = Vec::new();
+    let mut matches: Vec<u64> = Vec::new();
     let mut key = Vec::with_capacity(probe_key_pos.len());
     'probe: for i in 0..batch.len() {
         key.clear();
@@ -597,11 +639,9 @@ fn probe_batch(
             }
             key.push(v);
         }
-        if let Some(matches) = table.get(&key) {
-            for m in matches {
-                probe_idx.push(i as u32);
-                match_rows.push(m);
-            }
+        if let Some(ids) = table.map.get(&key) {
+            probe_idx.extend(std::iter::repeat_n(i as u32, ids.len()));
+            matches.extend_from_slice(ids);
         }
     }
     if probe_idx.is_empty() {
@@ -610,8 +650,9 @@ fn probe_batch(
     let mut cols = batch.gather(&probe_idx).into_columns();
     for &j in build_cols {
         let mut b = ColumnBuilder::new();
-        for row in &match_rows {
-            b.push(&row[j]);
+        for &m in &matches {
+            let src = &table.batches[(m >> 32) as usize];
+            b.push(&src.value_at(m as u32 as usize, j));
         }
         cols.push(b.finish());
     }
@@ -783,7 +824,13 @@ struct Layout {
     probe_cols: Vec<usize>,
     /// Positions of the probe join keys within the pruned probe batch.
     probe_key_pos: Vec<usize>,
-    /// Build-row columns appended after the probe columns, ascending.
+    /// Build-side scan columns to materialize: the join keys plus every
+    /// build column read downstream, ascending scan order.
+    build_scan: Vec<usize>,
+    /// Positions of the build join keys within the pruned build batches.
+    build_key_pos: Vec<usize>,
+    /// Build batch positions appended after the probe columns, in
+    /// ascending scan-column order.
     build_cols: Vec<usize>,
     /// Batch position of each logical column, when every logical column is
     /// materialized (`None` for pruned aggregate layouts, which never
@@ -858,15 +905,21 @@ fn layout(plan: &PhysicalPlan, now_micros: i64) -> Option<Layout> {
     // `used` is ascending and each join side maps monotonically, so the
     // filtered sequence stays ascending.
     let build_cols: Vec<usize> = used.iter().filter_map(|&l| build_of(l)).collect();
-    let probe_key_pos: Vec<usize> = match join {
-        Some(j) => {
-            let keys = if flipped { &j.right_keys } else { &j.left_keys };
-            keys.iter()
-                .map(|k| probe_cols.binary_search(k).expect("join key materialized"))
-                .collect()
-        }
-        None => Vec::new(),
+    let (probe_keys, build_keys): (&[usize], &[usize]) = match join {
+        Some(j) if flipped => (&j.right_keys, &j.left_keys),
+        Some(j) => (&j.left_keys, &j.right_keys),
+        None => (&[], &[]),
     };
+    let pos_in = |cols: &[usize], c: &usize| cols.binary_search(c).expect("column materialized");
+    let probe_key_pos: Vec<usize> = probe_keys.iter().map(|k| pos_in(&probe_cols, k)).collect();
+    let build_scan: Vec<usize> = build_keys
+        .iter()
+        .chain(&build_cols)
+        .copied()
+        .collect::<BTreeSet<usize>>()
+        .into_iter()
+        .collect();
+    let build_key_pos: Vec<usize> = build_keys.iter().map(|k| pos_in(&build_scan, k)).collect();
 
     let mut out_pos: HashMap<usize, usize> = HashMap::with_capacity(used.len());
     for &l in &used {
@@ -901,7 +954,9 @@ fn layout(plan: &PhysicalPlan, now_micros: i64) -> Option<Layout> {
     Some(Layout {
         probe_cols,
         probe_key_pos,
-        build_cols,
+        build_key_pos,
+        build_cols: build_cols.iter().map(|c| pos_in(&build_scan, c)).collect(),
+        build_scan,
         row_pos,
         filter,
         pred,
@@ -1061,10 +1116,39 @@ fn kept_right(plan: &PhysicalPlan, join: &JoinNode) -> Vec<usize> {
         .collect()
 }
 
+/// Close a scan node's span over `rows` rows and `slices` claimed slices,
+/// and count the rows as scanned.
+fn account_scan(ctx: &ExecContext, timer: Option<NodeTimer<'_>>, rows: u64, slices: u64) {
+    if let Some(t) = timer {
+        t.close(rows, slices);
+    }
+    if let Some(c) = &ctx.rows_scanned {
+        c.add(rows);
+    }
+}
+
+/// Materialize resolved scan slices as batches restricted to the `cols`
+/// schema columns, in slice order. Sliced sources go through the per-slice
+/// executor cache, so repeated queries over the same committed snapshot
+/// reuse already-decoded column vectors.
+fn slices_batches(slices: &TableSlices, cols: &[usize]) -> SqResult<Vec<Arc<ColumnarBatch>>> {
+    Ok(match slices {
+        TableSlices::Whole(rows) => ColumnarBatch::from_rows_chunked_cols(rows, cols)
+            .into_iter()
+            .map(Arc::new)
+            .collect(),
+        TableSlices::Sliced(sl) => {
+            let mut out = Vec::new();
+            for s in 0..sl.slice_count() {
+                out.extend(slice_batches_cached(&**sl, s, cols)?);
+            }
+            out
+        }
+    })
+}
+
 /// Materialize one scan as batches (restricted to the `cols` schema
-/// columns) under a sequential-style `scan` span. Sliced sources go
-/// through the per-slice executor cache, so repeated queries over the same
-/// committed snapshot reuse already-decoded column vectors.
+/// columns) under a sequential-style `scan` span.
 fn scan_batches(
     scan: &ScanNode,
     ctx: &ExecContext,
@@ -1072,122 +1156,58 @@ fn scan_batches(
     cols: &[usize],
 ) -> SqResult<Vec<Arc<ColumnarBatch>>> {
     let timer = start_node(ctx, "scan", node.to_string());
-    let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
-    let batches = match slices {
-        TableSlices::Whole(rows) => ColumnarBatch::from_rows_chunked_cols(&rows, cols)
-            .into_iter()
-            .map(Arc::new)
-            .collect(),
-        TableSlices::Sliced(sl) => {
-            let mut out = Vec::new();
-            for s in 0..sl.slice_count() {
-                out.extend(slice_batches_cached(&*sl, s, cols)?);
-            }
-            out
-        }
-    };
-    let total: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    if let Some(t) = timer {
-        t.close(total, 0);
-    }
-    if let Some(c) = &ctx.rows_scanned {
-        c.add(total);
-    }
+    let batches = slices_batches(&scan.table.scan_partitions(&scan.hints, ctx)?, cols)?;
+    account_scan(ctx, timer, batches.iter().map(|b| b.len() as u64).sum(), 0);
     Ok(batches)
 }
 
-/// Single-shard build in row order (sequential execution).
-fn build_single(rows: &[Vec<Value>], keys: &[usize]) -> SqResult<FrozenJoinTable> {
-    let mut map: HashMap<Vec<Value>, Vec<Vec<Value>>> = HashMap::with_capacity(rows.len());
-    'rows: for row in rows {
-        let mut key = Vec::with_capacity(keys.len());
-        for &k in keys {
-            let v = row
-                .get(k)
-                .ok_or_else(|| SqError::Exec("join key out of range".into()))?;
-            if v.is_null() {
-                continue 'rows;
-            }
-            key.push(v.clone());
-        }
-        map.entry(key).or_default().push(row.clone());
-    }
-    Ok(FrozenJoinTable::from_single(map))
-}
-
-/// The cached value stored under the `"join"` executor-cache kind:
-/// `(table, scanned rows, scan units)` — the counts let a cache hit replay
-/// the scan accounting (span + rows-scanned counter) the miss path emits.
-type CachedJoin = (Arc<FrozenJoinTable>, u64, u64);
-
-/// Build — or fetch a memoized — frozen join table for `scan`, hashed by
-/// `keys`. Committed-snapshot sources memoize the table in their executor
-/// cache; both drivers share one entry (sequential and parallel builds
-/// produce the same key → matches-in-scan-order mapping). A hit replays
-/// the scan span and rows-scanned count the miss path would have emitted,
-/// keeping `EXPLAIN ANALYZE` totals engine-independent.
+/// Build — or fetch a memoized — join table over `scan`, holding the
+/// layout's build-scan columns and hashed by its build keys. The
+/// sequential driver scans under one `scan` span; the parallel driver scans
+/// slices in parallel under per-unit `slice` spans, then indexes them in
+/// unit order, so both produce the same key → matches-in-scan-order table.
+/// Committed-snapshot sources memoize it under its key and scanned columns;
+/// a hit replays the scan span and rows-scanned count the miss would have
+/// emitted, keeping `EXPLAIN ANALYZE` totals cache-independent.
 fn build_table(
     scan: &ScanNode,
-    keys: &[usize],
+    lay: &Layout,
     ctx: &ExecContext,
     node: &str,
     parallel: bool,
-) -> SqResult<Arc<FrozenJoinTable>> {
+) -> SqResult<Arc<JoinTable>> {
     let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
+    let mut cache_cols = lay.build_key_pos.clone();
+    cache_cols.push(usize::MAX);
+    cache_cols.extend(&lay.build_scan);
     if let TableSlices::Sliced(sl) = &slices {
-        if let Some(hit) = sl.cache_get("join", u32::MAX, keys) {
-            if let Ok(cached) = hit.downcast::<CachedJoin>() {
-                let (table, rows, units) = &*cached;
-                let (kind, slices_n) = if parallel {
-                    ("slice", *units)
-                } else {
-                    ("scan", 0)
-                };
-                let timer = start_node(ctx, kind, node.to_string());
-                if let Some(t) = timer {
-                    t.close(*rows, slices_n);
-                }
-                if let Some(c) = &ctx.rows_scanned {
-                    c.add(*rows);
-                }
-                return Ok(table.clone());
-            }
+        let hit = sl.cache_get("join_table", u32::MAX, &cache_cols);
+        if let Some(table) = hit.and_then(|h| h.downcast::<JoinTable>().ok()) {
+            let (kind, units) = if parallel {
+                ("slice", u64::from(sl.slice_count()))
+            } else {
+                ("scan", 0)
+            };
+            account_scan(
+                ctx,
+                start_node(ctx, kind, node.to_string()),
+                table.rows(),
+                units,
+            );
+            return Ok(table);
         }
     }
-    let (table, rows, units) = if parallel {
-        let (t, rows, units) = build_join_table(&slices, keys, ctx, node)?;
-        (Arc::new(t), rows, units)
+    let batches = if parallel {
+        parallel_scan_batches(&slices, ctx, node, &lay.build_scan, |b, _| Ok(b.to_vec()))?.concat()
     } else {
         let timer = start_node(ctx, "scan", node.to_string());
-        let rows = match &slices {
-            TableSlices::Whole(rows) => rows.clone(),
-            TableSlices::Sliced(sl) => {
-                let mut out = Vec::new();
-                for s in 0..sl.slice_count() {
-                    out.extend(sl.scan_slice(s)?);
-                }
-                out
-            }
-        };
-        if let Some(t) = timer {
-            t.close(rows.len() as u64, 0);
-        }
-        if let Some(c) = &ctx.rows_scanned {
-            c.add(rows.len() as u64);
-        }
-        let units = match &slices {
-            TableSlices::Whole(_) => 0,
-            TableSlices::Sliced(sl) => sl.slice_count() as u64,
-        };
-        (
-            Arc::new(build_single(&rows, keys)?),
-            rows.len() as u64,
-            units,
-        )
+        let batches = slices_batches(&slices, &lay.build_scan)?;
+        account_scan(ctx, timer, batches.iter().map(|b| b.len() as u64).sum(), 0);
+        batches
     };
+    let table = Arc::new(JoinTable::build(batches, &lay.build_key_pos));
     if let TableSlices::Sliced(sl) = &slices {
-        let cached: CachedJoin = (table.clone(), rows, units);
-        sl.cache_put("join", u32::MAX, keys, Arc::new(cached));
+        sl.cache_put("join_table", u32::MAX, &cache_cols, table.clone());
     }
     Ok(table)
 }
@@ -1208,11 +1228,11 @@ fn run_sequential(
         let join = &plan.joins[0];
         let (table, probe);
         if join.build_left {
-            table = build_table(&plan.scans[0], &join.left_keys, ctx, "scan0", false)?;
+            table = build_table(&plan.scans[0], lay, ctx, "scan0", false)?;
             probe = scan_batches(&plan.scans[1], ctx, "scan1", &lay.probe_cols)?;
         } else {
             probe = scan_batches(&plan.scans[0], ctx, "scan0", &lay.probe_cols)?;
-            table = build_table(&plan.scans[1], &join.right_keys, ctx, "scan1", false)?;
+            table = build_table(&plan.scans[1], lay, ctx, "scan1", false)?;
         }
         let timer = start_node(ctx, "join", "join0".into());
         let mut out = Vec::with_capacity(probe.len());
@@ -1303,7 +1323,7 @@ fn run_sequential(
 fn for_each_filtered(
     plan: &PhysicalPlan,
     lay: &Layout,
-    table: Option<&FrozenJoinTable>,
+    table: Option<&JoinTable>,
     ctx: &ExecContext,
     batches: &[Arc<ColumnarBatch>],
     mut f: impl FnMut(&ColumnarBatch, &[u32]) -> SqResult<()>,
@@ -1350,15 +1370,15 @@ fn run_parallel(plan: &PhysicalPlan, ctx: &ExecContext, lay: &Layout) -> SqResul
         (&plan.scans[0], "scan0")
     };
     let base = base_scan.table.scan_partitions(&base_scan.hints, ctx)?;
-    let join_table: Option<Arc<FrozenJoinTable>> = match plan.joins.first() {
-        Some(join) => {
-            let (build_scan, build_node, build_keys) = if flipped {
-                (&plan.scans[0], "scan0", &join.left_keys)
+    let join_table: Option<Arc<JoinTable>> = match plan.joins.first() {
+        Some(_) => {
+            let (build_scan, build_node) = if flipped {
+                (&plan.scans[0], "scan0")
             } else {
-                (&plan.scans[1], "scan1", &join.right_keys)
+                (&plan.scans[1], "scan1")
             };
             let timer = start_node(ctx, "join_build", "join0".into());
-            let table = build_table(build_scan, build_keys, ctx, build_node, true)?;
+            let table = build_table(build_scan, lay, ctx, build_node, true)?;
             if let Some(t) = timer {
                 t.close(0, 0);
             }

@@ -27,7 +27,8 @@ use squery_common::schema::Schema;
 use squery_common::telemetry::{Counter, MetricsRegistry};
 use squery_common::{PartitionId, Partitioner, SnapshotId, SqError, SqResult, Value};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -74,11 +75,92 @@ struct VersionMap {
     full: bool,
     /// `None` values are tombstones (key removed in this checkpoint).
     entries: HashMap<Value, Option<Value>>,
+    /// Sum of [`entry_bytes`] over `entries`, kept exact by every mutation
+    /// so statistics never re-encode stored state.
+    bytes: u64,
+}
+
+impl VersionMap {
+    fn new(full: bool, entries: Vec<(Value, Option<Value>)>) -> VersionMap {
+        let mut vm = VersionMap {
+            full,
+            entries: HashMap::with_capacity(entries.len()),
+            bytes: 0,
+        };
+        for (k, v) in entries {
+            vm.insert(k, v);
+        }
+        vm
+    }
+
+    /// Insert or replace one entry, keeping `bytes` exact.
+    fn insert(&mut self, key: Value, value: Option<Value>) {
+        match self.entries.entry(key) {
+            Entry::Occupied(mut e) => {
+                self.bytes -= entry_bytes(e.key(), e.get().as_ref());
+                self.bytes += entry_bytes(e.key(), value.as_ref());
+                e.insert(value);
+            }
+            Entry::Vacant(e) => {
+                self.bytes += entry_bytes(e.key(), value.as_ref());
+                e.insert(value);
+            }
+        }
+    }
+
+    /// Drop every tombstone, keeping `bytes` exact.
+    fn drop_tombstones(&mut self) {
+        let mut dropped = 0u64;
+        self.entries.retain(|k, v| {
+            if v.is_none() {
+                dropped += entry_bytes(k, None);
+            }
+            v.is_some()
+        });
+        self.bytes -= dropped;
+    }
+
+    /// Remove one entry, keeping `bytes` exact.
+    fn remove(&mut self, key: &Value) -> Option<Option<Value>> {
+        let old = self.entries.remove(key)?;
+        self.bytes -= entry_bytes(key, old.as_ref());
+        Some(old)
+    }
 }
 
 #[derive(Default)]
 struct PartitionSnapshots {
     versions: BTreeMap<u64, VersionMap>,
+}
+
+impl PartitionSnapshots {
+    /// The differential read of §VI-A for one partition: walk versions
+    /// newest-first from `ssid`, hand each key's first occurrence to `f`
+    /// when it is live, stop at a full map. Only delta keys enter the dedupe
+    /// set, and a base map consults it only when a newer delta exists, so a
+    /// read that hits one full version does no per-key bookkeeping. Returns
+    /// the number of version maps consulted.
+    fn resolve<'a>(&'a self, ssid: u64, mut f: impl FnMut(&'a Value, &'a Value)) -> usize {
+        let mut seen: HashSet<&Value> = HashSet::new();
+        let mut consulted = 0;
+        for vm in self.versions.range(..=ssid).rev().map(|(_, vm)| vm) {
+            consulted += 1;
+            for (k, v) in &vm.entries {
+                let shadowed = if vm.full {
+                    !seen.is_empty() && seen.contains(k)
+                } else {
+                    !seen.insert(k)
+                };
+                if let (false, Some(v)) = (shadowed, v) {
+                    f(k, v);
+                }
+            }
+            if vm.full {
+                break;
+            }
+        }
+        consulted
+    }
 }
 
 /// Aggregate statistics, used by the evaluation harness.
@@ -257,26 +339,23 @@ impl SnapshotStore {
             wal.append(ssid.0, pid.0, full, &entries)
                 .expect("WAL phase-1 append failed");
         }
-        let mut bytes = 0u64;
-        let mut map = HashMap::with_capacity(entries.len());
-        for (k, v) in entries {
-            bytes += entry_bytes(&k, v.as_ref());
-            map.insert(k, v);
-        }
-        let _lo = lockorder::acquired(LockClass::SnapshotPartition);
-        let mut part = self.parts[pid.0 as usize].write();
-        if let Some(old) = part
-            .versions
-            .insert(ssid.0, VersionMap { full, entries: map })
-        {
-            self.approx_bytes
-                .fetch_sub(version_bytes(&old), Ordering::Relaxed);
-        }
-        self.approx_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.insert_version(ssid.0, pid.0, VersionMap::new(full, entries));
         if let (Some(t), Some(s)) = (tel.as_ref(), start) {
             t.writes.inc();
             t.write_us.record(s.elapsed().as_micros() as u64);
         }
+    }
+
+    /// Install one version, replacing any earlier attempt at the same
+    /// `(ssid, partition)`, and keep the store byte total exact.
+    fn insert_version(&self, ssid: u64, pid: u32, vm: VersionMap) {
+        let bytes = vm.bytes;
+        let _lo = lockorder::acquired(LockClass::SnapshotPartition);
+        let mut part = self.parts[pid as usize].write();
+        if let Some(old) = part.versions.insert(ssid, vm) {
+            self.approx_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
+        }
+        self.approx_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Erase an aborted checkpoint attempt everywhere.
@@ -285,8 +364,7 @@ impl SnapshotStore {
             let _lo = lockorder::acquired(LockClass::SnapshotPartition);
             let mut guard = part.write();
             if let Some(old) = guard.versions.remove(&ssid.0) {
-                self.approx_bytes
-                    .fetch_sub(version_bytes(&old), Ordering::Relaxed);
+                self.approx_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
             }
         }
         if let Some(wal) = self.wal.get() {
@@ -304,22 +382,7 @@ impl SnapshotStore {
         full: bool,
         entries: Vec<(Value, Option<Value>)>,
     ) {
-        let mut bytes = 0u64;
-        let mut map = HashMap::with_capacity(entries.len());
-        for (k, v) in entries {
-            bytes += entry_bytes(&k, v.as_ref());
-            map.insert(k, v);
-        }
-        let _lo = lockorder::acquired(LockClass::SnapshotPartition);
-        let mut part = self.parts[pid as usize].write();
-        if let Some(old) = part
-            .versions
-            .insert(ssid, VersionMap { full, entries: map })
-        {
-            self.approx_bytes
-                .fetch_sub(version_bytes(&old), Ordering::Relaxed);
-        }
-        self.approx_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.insert_version(ssid, pid, VersionMap::new(full, entries));
     }
 
     /// Record that recovery restored nothing below `min_sealed`: reads
@@ -372,23 +435,9 @@ impl SnapshotStore {
         let mut maps_consulted = 0usize;
         for part in &self.parts {
             let _lo = lockorder::acquired(LockClass::SnapshotPartition);
-            let guard = part.read();
-            let mut seen: HashMap<&Value, ()> = HashMap::new();
-            for (_, vm) in guard.versions.range(..=ssid.0).rev() {
-                maps_consulted += 1;
-                for (k, v) in vm.entries.iter() {
-                    if seen.contains_key(k) {
-                        continue;
-                    }
-                    seen.insert(k, ());
-                    if let Some(value) = v {
-                        out.push((k.clone(), value.clone()));
-                    }
-                }
-                if vm.full {
-                    break;
-                }
-            }
+            maps_consulted += part
+                .read()
+                .resolve(ssid.0, |k, v| out.push((k.clone(), v.clone())));
         }
         if let (Some(t), Some(s)) = (tel.as_ref(), start) {
             t.scans.inc();
@@ -405,23 +454,10 @@ impl SnapshotStore {
         pid: PartitionId,
     ) -> SqResult<Vec<(Value, Value)>> {
         self.check_not_pruned(ssid)?;
-        let guard = self.parts[pid.0 as usize].read();
-        let mut seen: HashMap<&Value, ()> = HashMap::new();
         let mut out = Vec::new();
-        for (_, vm) in guard.versions.range(..=ssid.0).rev() {
-            for (k, v) in vm.entries.iter() {
-                if seen.contains_key(k) {
-                    continue;
-                }
-                seen.insert(k, ());
-                if let Some(value) = v {
-                    out.push((k.clone(), value.clone()));
-                }
-            }
-            if vm.full {
-                break;
-            }
-        }
+        self.parts[pid.0 as usize]
+            .read()
+            .resolve(ssid.0, |k, v| out.push((k.clone(), v.clone())));
         Ok(out)
     }
 
@@ -429,31 +465,16 @@ impl SnapshotStore {
     /// resolves the partition's view as of `ssid` and hands each live
     /// `(key, value)` to `f` by reference, without materializing an entry
     /// vector. Visit order is identical to `scan_partition_at` on the same
-    /// store (the version walk and per-version entry iteration are the
-    /// same), which columnar scans rely on for row-order equivalence.
+    /// store (both run the same walk), which columnar scans rely on for
+    /// row-order equivalence.
     pub fn for_each_partition_at(
         &self,
         ssid: SnapshotId,
         pid: PartitionId,
-        mut f: impl FnMut(&Value, &Value),
+        f: impl FnMut(&Value, &Value),
     ) -> SqResult<()> {
         self.check_not_pruned(ssid)?;
-        let guard = self.parts[pid.0 as usize].read();
-        let mut seen: HashMap<&Value, ()> = HashMap::new();
-        for (_, vm) in guard.versions.range(..=ssid.0).rev() {
-            for (k, v) in vm.entries.iter() {
-                if seen.contains_key(k) {
-                    continue;
-                }
-                seen.insert(k, ());
-                if let Some(value) = v {
-                    f(k, value);
-                }
-            }
-            if vm.full {
-                break;
-            }
-        }
+        self.parts[pid.0 as usize].read().resolve(ssid.0, f);
         Ok(())
     }
 
@@ -485,55 +506,67 @@ impl SnapshotStore {
     }
 
     /// Fold every version at or below `oldest_retained` into a single
-    /// complete base at `oldest_retained`, dropping tombstones.
+    /// complete base at `oldest_retained`.
+    ///
+    /// Per partition the fold starts from the newest *full* version at or
+    /// below the horizon (the oldest version, on a delta-only chain), drops
+    /// every older version — a full map already hides them from every read
+    /// at or above it — and applies the newer deltas to that base in place,
+    /// oldest → newest, dropping tombstones. A full-snapshot commit thus
+    /// does no per-key work and an incremental one O(delta) work.
     ///
     /// Afterwards, reads at ids below `oldest_retained` fail with
     /// [`SqError::NotFound`]; reads at or above it are unaffected. This is
     /// the paper's pruning of obsolete states, bounding both snapshot memory
     /// and the differential-read chain length.
     pub fn prune_below(&self, oldest_retained: SnapshotId) {
+        let horizon = oldest_retained.0;
         for part in &self.parts {
             let mut guard = part.write();
-            let to_fold: Vec<u64> = guard
+            let ids: Vec<u64> = guard
                 .versions
-                .range(..=oldest_retained.0)
+                .range(..=horizon)
                 .map(|(id, _)| *id)
                 .collect();
-            if to_fold.len() <= 1 {
-                // Zero or one version at/below the horizon: if exactly one, it
-                // already is the base (mark it full — it has nothing older to
-                // depend on).
-                if let Some(id) = to_fold.first() {
-                    if let Some(vm) = guard.versions.get_mut(id) {
-                        vm.full = true;
-                    }
-                }
+            if ids.is_empty() {
                 continue;
             }
-            // Resolve oldest→newest so later deltas win, then drop tombstones:
-            // in a complete base an absent key means "not present".
-            let mut folded: HashMap<Value, Option<Value>> = HashMap::new();
-            for id in &to_fold {
-                let vm = guard.versions.remove(id).expect("id listed above");
-                self.approx_bytes
-                    .fetch_sub(version_bytes(&vm), Ordering::Relaxed);
-                for (k, v) in vm.entries {
-                    folded.insert(k, v);
+            let base_at = ids
+                .iter()
+                .rposition(|id| guard.versions[id].full)
+                .unwrap_or(0);
+            let mut freed = 0u64;
+            for id in &ids[..base_at] {
+                freed += guard.versions.remove(id).expect("id listed above").bytes;
+            }
+            let mut base = guard
+                .versions
+                .remove(&ids[base_at])
+                .expect("id listed above");
+            freed += base.bytes;
+            if !base.full {
+                // Nothing lies below the oldest delta: its tombstones hide
+                // nothing, and in a complete base absent means removed.
+                base.drop_tombstones();
+            }
+            for id in &ids[base_at + 1..] {
+                let delta = guard.versions.remove(id).expect("id listed above");
+                freed += delta.bytes;
+                for (k, v) in delta.entries {
+                    match v {
+                        Some(v) => base.insert(k, Some(v)),
+                        None => {
+                            base.remove(&k);
+                        }
+                    }
                 }
             }
-            folded.retain(|_, v| v.is_some());
-            let mut bytes = 0u64;
-            for (k, v) in folded.iter() {
-                bytes += entry_bytes(k, v.as_ref());
-            }
-            self.approx_bytes.fetch_add(bytes, Ordering::Relaxed);
-            guard.versions.insert(
-                oldest_retained.0,
-                VersionMap {
-                    full: true,
-                    entries: folded,
-                },
-            );
+            base.full = true;
+            self.approx_bytes.fetch_add(base.bytes, Ordering::Relaxed);
+            self.approx_bytes.fetch_sub(freed, Ordering::Relaxed);
+            // A lone version keeps its id; a fold lands on the horizon.
+            let at = if ids.len() == 1 { ids[0] } else { horizon };
+            guard.versions.insert(at, base);
         }
         self.pruned_below
             .fetch_max(oldest_retained.0, Ordering::AcqRel);
@@ -555,9 +588,10 @@ impl SnapshotStore {
         let mut part = self.parts[self.partition_of(key).0 as usize].write();
         let mut removed = 0;
         for vm in part.versions.values_mut() {
-            if let Some(old) = vm.entries.remove(key) {
+            let before = vm.bytes;
+            if vm.remove(key).is_some() {
                 self.approx_bytes
-                    .fetch_sub(entry_bytes(key, old.as_ref()), Ordering::Relaxed);
+                    .fetch_sub(before - vm.bytes, Ordering::Relaxed);
                 removed += 1;
             }
         }
@@ -579,25 +613,11 @@ impl SnapshotStore {
         let mut out = Vec::with_capacity(self.parts.len());
         for part in &self.parts {
             let _lo = lockorder::acquired(LockClass::SnapshotPartition);
-            let guard = part.read();
-            let mut seen: HashMap<&Value, ()> = HashMap::new();
-            let mut rows = 0u64;
-            let mut bytes = 0u64;
-            for (_, vm) in guard.versions.range(..=ssid.0).rev() {
-                for (k, v) in vm.entries.iter() {
-                    if seen.contains_key(k) {
-                        continue;
-                    }
-                    seen.insert(k, ());
-                    if let Some(value) = v {
-                        rows += 1;
-                        bytes += entry_bytes(k, Some(value));
-                    }
-                }
-                if vm.full {
-                    break;
-                }
-            }
+            let (mut rows, mut bytes) = (0u64, 0u64);
+            part.read().resolve(ssid.0, |k, v| {
+                rows += 1;
+                bytes += entry_bytes(k, Some(v));
+            });
             out.push((rows, bytes));
         }
         Ok(out)
@@ -613,7 +633,7 @@ impl SnapshotStore {
             for (id, vm) in guard.versions.iter() {
                 let slot = per_ssid.entry(*id).or_insert((0, 0));
                 slot.0 += vm.entries.len();
-                slot.1 += version_bytes(vm);
+                slot.1 += vm.bytes;
             }
         }
         per_ssid
@@ -656,13 +676,6 @@ impl SnapshotStore {
 
 fn entry_bytes(key: &Value, value: Option<&Value>) -> u64 {
     (encoded_len(key) + value.map(encoded_len).unwrap_or(1) + 8) as u64
-}
-
-fn version_bytes(vm: &VersionMap) -> u64 {
-    vm.entries
-        .iter()
-        .map(|(k, v)| entry_bytes(k, v.as_ref()))
-        .sum()
 }
 
 #[cfg(test)]
@@ -868,6 +881,225 @@ mod tests {
         assert_eq!(s.stored_ssids(), vec![SnapshotId(3), SnapshotId(4)]);
     }
 
+    /// Each version's cached bytes and entry count equal a recomputation
+    /// over its entries, and the store total equals their sum.
+    fn assert_stats_exact(s: &SnapshotStore) {
+        let mut per_ssid: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
+        for part in &s.parts {
+            for (id, vm) in part.read().versions.iter() {
+                let bytes: u64 = vm
+                    .entries
+                    .iter()
+                    .map(|(k, v)| entry_bytes(k, v.as_ref()))
+                    .sum();
+                assert_eq!(vm.bytes, bytes, "cached bytes of version {id}");
+                let slot = per_ssid.entry(*id).or_default();
+                slot.0 += vm.entries.len();
+                slot.1 += bytes;
+            }
+        }
+        let expected: Vec<(SnapshotId, usize, u64)> = per_ssid
+            .iter()
+            .map(|(id, (n, b))| (SnapshotId(*id), *n, *b))
+            .collect();
+        assert_eq!(s.version_stats(), expected);
+        let total: u64 = per_ssid.values().map(|(_, b)| b).sum();
+        assert_eq!(s.stats().approx_bytes as u64, total);
+        let entries: usize = per_ssid.values().map(|(n, _)| n).sum();
+        assert_eq!(s.stats().stored_entries, entries);
+    }
+
+    #[test]
+    fn version_statistics_stay_exact_across_every_mutation() {
+        let s = store();
+        let v = |i: i64| Some(Value::str(format!("value-{i}")));
+        write_all(
+            &s,
+            1,
+            (0..20).map(|k| (Value::Int(k), v(k))).collect(),
+            true,
+        );
+        assert_stats_exact(&s);
+        // Same-(ssid, partition) retry replaces, with a different size.
+        let pid = s.partition_of(&Value::Int(3));
+        s.write_partition(
+            SnapshotId(1),
+            pid,
+            vec![(
+                Value::Int(3),
+                Some(Value::str("a much longer retried value")),
+            )],
+            true,
+        );
+        assert_stats_exact(&s);
+        // Incremental chain with tombstones, plus a duplicate key in one
+        // write (the later entry wins).
+        write_all(
+            &s,
+            2,
+            vec![
+                (Value::Int(1), None),
+                (Value::Int(2), v(200)),
+                (Value::Int(2), v(2)),
+            ],
+            false,
+        );
+        write_all(
+            &s,
+            3,
+            vec![(Value::Int(2), None), (Value::Int(4), v(44))],
+            false,
+        );
+        write_all(&s, 4, vec![(Value::Int(5), v(55))], false);
+        assert_stats_exact(&s);
+        s.discard(SnapshotId(4));
+        assert_stats_exact(&s);
+        s.prune_below(SnapshotId(2));
+        assert_stats_exact(&s);
+        // A later full version, then a prune that folds onto it.
+        write_all(
+            &s,
+            5,
+            (0..10).map(|k| (Value::Int(k), v(k + 5))).collect(),
+            true,
+        );
+        write_all(&s, 6, vec![(Value::Int(0), None)], false);
+        s.prune_below(SnapshotId(6));
+        assert_stats_exact(&s);
+        assert_eq!(s.erase_key(&Value::Int(7)), 1);
+        assert_stats_exact(&s);
+        // Recovery loads, including a replace of a loaded version.
+        let r = store();
+        r.load_recovered(
+            4,
+            0,
+            false,
+            vec![(Value::Int(8), v(8)), (Value::Int(9), None)],
+        );
+        r.load_recovered(5, 0, false, vec![(Value::Int(8), None)]);
+        r.load_recovered(5, 0, false, vec![(Value::Int(10), v(10))]);
+        assert_stats_exact(&r);
+        r.note_recovered_floor(4);
+        r.prune_below(SnapshotId(5));
+        assert_stats_exact(&r);
+    }
+
+    /// A tiny deterministic generator (SplitMix64) for the seeded chains.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn sorted_scan(s: &SnapshotStore, ssid: u64) -> Vec<(Value, Value)> {
+        let (mut rows, _) = s.scan_at(SnapshotId(ssid)).unwrap();
+        rows.sort();
+        rows
+    }
+
+    /// Seeded random chains mixing full and delta versions: pruning at any
+    /// horizon leaves the resolved state at every ssid at or above it
+    /// identical, and the statistics exact.
+    #[test]
+    fn prune_preserves_resolved_state_on_random_chains() {
+        for seed in 0..40u64 {
+            let mut rng = Rng(seed);
+            let s = store();
+            // Odd seeds start from a delta-only chain below a recovered floor
+            // (what a cold start restores when the base was compacted away).
+            let recovered = seed % 2 == 1;
+            let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+            let versions = 4 + rng.below(8);
+            for ssid in 1..=versions {
+                let full = !(recovered && ssid <= 2) && (ssid == 1 || rng.below(3) == 0);
+                let mut delta: Vec<(Value, Option<Value>)> = Vec::new();
+                for _ in 0..rng.below(12) {
+                    let k = rng.below(30) as i64;
+                    if rng.below(4) == 0 {
+                        model.remove(&k);
+                        delta.push((Value::Int(k), None));
+                    } else {
+                        let val = rng.below(1000) as i64;
+                        model.insert(k, val);
+                        delta.push((Value::Int(k), Some(Value::Int(val))));
+                    }
+                }
+                let entries = if full {
+                    model
+                        .iter()
+                        .map(|(k, v)| (Value::Int(*k), Some(Value::Int(*v))))
+                        .collect()
+                } else {
+                    delta
+                };
+                if recovered && ssid <= 2 {
+                    let mut by_pid: HashMap<u32, Vec<(Value, Option<Value>)>> = HashMap::new();
+                    for (k, v) in entries {
+                        by_pid.entry(s.partition_of(&k).0).or_default().push((k, v));
+                    }
+                    for (pid, e) in by_pid {
+                        s.load_recovered(ssid, pid, false, e);
+                    }
+                } else {
+                    write_all(&s, ssid, entries, full);
+                }
+            }
+            if recovered {
+                s.note_recovered_floor(1);
+            }
+            let mut horizon = 1 + rng.below(versions);
+            for _ in 0..2 {
+                let before: Vec<_> = (horizon..=versions).map(|id| sorted_scan(&s, id)).collect();
+                s.prune_below(SnapshotId(horizon));
+                let after: Vec<_> = (horizon..=versions).map(|id| sorted_scan(&s, id)).collect();
+                assert_eq!(before, after, "seed {seed}, horizon {horizon}");
+                assert_stats_exact(&s);
+                if horizon > 1 {
+                    assert!(s.scan_at(SnapshotId(horizon - 1)).is_err());
+                }
+                horizon += rng.below(versions - horizon + 1);
+            }
+            // The newest version resolves to the model's final state.
+            let expected: Vec<(Value, Value)> = model
+                .iter()
+                .map(|(k, v)| (Value::Int(*k), Value::Int(*v)))
+                .collect();
+            assert_eq!(sorted_scan(&s, versions), expected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn prune_drops_keys_a_later_full_version_removed() {
+        // Full mode: key 2 exists at ssid 1 only; the full ssid 2 omits it.
+        // Folding must start from the newest full version, not resurrect it.
+        let s = store();
+        write_all(
+            &s,
+            1,
+            vec![
+                (Value::Int(1), Some(Value::Int(10))),
+                (Value::Int(2), Some(Value::Int(20))),
+            ],
+            true,
+        );
+        write_all(&s, 2, vec![(Value::Int(1), Some(Value::Int(11)))], true);
+        write_all(&s, 3, vec![(Value::Int(1), Some(Value::Int(12)))], true);
+        s.prune_below(SnapshotId(3));
+        assert_eq!(s.read_at(SnapshotId(3), &Value::Int(2)).unwrap(), None);
+        assert_eq!(sorted_scan(&s, 3), vec![(Value::Int(1), Value::Int(12))]);
+        assert_stats_exact(&s);
+    }
+
     #[test]
     fn prune_marks_single_survivor_as_base() {
         let s = store();
@@ -1052,7 +1284,7 @@ mod tests {
         assert_eq!(*hit.downcast::<Vec<u64>>().unwrap(), vec![1, 2, 3]);
         // Different kind / slice / cols are distinct entries.
         assert!(s
-            .exec_cache_get("join", &[SnapshotId(1)], 0, &[0, 2])
+            .exec_cache_get("join_table", &[SnapshotId(1)], 0, &[0, 2])
             .is_none());
         assert!(s
             .exec_cache_get("batches", &[SnapshotId(1)], 1, &[0, 2])
@@ -1088,10 +1320,16 @@ mod tests {
             .is_none());
 
         write_all(&s, 7, vec![(Value::Int(1), Some(Value::Int(10)))], true);
-        s.exec_cache_put("join", &[SnapshotId(7)], u32::MAX, &[0], Arc::new(0u8));
+        s.exec_cache_put(
+            "join_table",
+            &[SnapshotId(7)],
+            u32::MAX,
+            &[0],
+            Arc::new(0u8),
+        );
         assert_eq!(s.erase_key(&Value::Int(1)), 1);
         assert!(s
-            .exec_cache_get("join", &[SnapshotId(7)], u32::MAX, &[0])
+            .exec_cache_get("join_table", &[SnapshotId(7)], u32::MAX, &[0])
             .is_none());
     }
 }

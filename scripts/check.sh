@@ -2,7 +2,8 @@
 # Local CI gate: formatting, lints, static analysis, the full test suite,
 # the chaos soak, the trace-export smoke, the state-statistics smoke, the
 # SQL benchmark-regression gate, the WAL kill-restart durability soak, the
-# watermark/freshness smoke, and the ThreadSanitizer pass.
+# watermark/freshness smoke, the ThreadSanitizer pass, and the end-to-end
+# benchmark's own self-tests.
 # Usage: scripts/check.sh [--fix] [--list] [--only STEP]
 #   --fix         apply rustfmt instead of only checking
 #   --list        print the runnable step names, one per line, and exit
@@ -16,7 +17,7 @@
 set -uo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
-steps="fmt clippy lint test chaos trace stats bench durability freshness tsan"
+steps="fmt clippy lint test chaos trace stats bench durability freshness tsan perfbench"
 
 fix=0
 only=""
@@ -207,6 +208,15 @@ run_tsan() {
             2>&1 | tee -a "$log"
 }
 
+run_perfbench() {
+    # The end-to-end benchmark (perfbench/, the package BENCHMARK.json runs)
+    # lives outside the workspace, so the workspace steps never build it:
+    # run its self-tests and hold it to the same clippy gate.
+    echo "==> perfbench tests + clippy -D warnings" &&
+        cargo test --offline --manifest-path perfbench/Cargo.toml &&
+        cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+}
+
 run_selftest_fail() {
     # Hidden step, not in --list: CI's negative test that a failing step's
     # exit code really reaches the caller. Must exit 42.
@@ -228,6 +238,7 @@ case "$only" in
     durability) run_durability; rc=$? ;;
     freshness) run_freshness; rc=$? ;;
     tsan) run_tsan; rc=$? ;;
+    perfbench) run_perfbench; rc=$? ;;
     selftest-fail) run_selftest_fail; rc=$? ;;
     *)
         echo "unknown step '$only' (known: ${steps// /, })" >&2

@@ -183,3 +183,53 @@ fn sql_cross_checks_on_monitoring_state() {
     assert_eq!(joined.scalar("n"), Some(&Value::Int(ORDERS as i64)));
     job.stop();
 }
+
+/// `rows=`/`slices=` of every snapshot scan node in an EXPLAIN ANALYZE
+/// rendering, in plan order (wall times and staleness vary run to run).
+fn scan_accounting(rs: &squery::ResultSet) -> Vec<Vec<String>> {
+    rs.rows()
+        .iter()
+        .map(|r| r[0].to_string())
+        .filter(|l| l.contains("Scan snapshot_"))
+        .map(|l| {
+            l.split([' ', '(', ')'])
+                .filter(|t| t.starts_with("rows=") || t.starts_with("slices="))
+                .map(str::to_string)
+                .collect()
+        })
+        .collect()
+}
+
+/// Query 1 cold (executor-cache miss) and warm (hit) at DOP 1 and DOP 2:
+/// both scan nodes render the same counts either way, and the scanned-rows
+/// counter advances by the same amount — a cache hit replays the scan's
+/// accounting rather than hiding it.
+#[test]
+fn explain_analyze_scan_accounting_survives_cache_hits() {
+    let (system, job) = monitoring_system();
+    let sql = format!("EXPLAIN ANALYZE {QUERY_1}");
+    let scanned = || {
+        system
+            .telemetry()
+            .counter_value("query_rows_scanned_total", &[])
+            .unwrap_or(0)
+    };
+    for dop in [1usize, 2] {
+        // A fresh snapshot id starts from an empty executor cache.
+        job.checkpoint_now().unwrap();
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let before = scanned();
+            let rs = system.query_with_opts(&sql, dop, true).unwrap();
+            runs.push((scan_accounting(&rs), scanned() - before));
+        }
+        let (cold, warm) = (&runs[0], &runs[1]);
+        assert_eq!(cold.0.len(), 2, "dop {dop}: two scan nodes: {cold:?}");
+        for node in &cold.0 {
+            assert_eq!(node[0], format!("rows={ORDERS}"), "dop {dop}: {cold:?}");
+        }
+        assert_eq!(cold, warm, "dop {dop}: miss vs hit");
+        assert_eq!(cold.1, 2 * ORDERS, "dop {dop}: both scans counted");
+    }
+    job.stop();
+}
