@@ -84,37 +84,10 @@ fn stats_sampler_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Columnar vs row engine at DOP 4 over Query 1 — the criterion twin of the
-/// bench-gate smoke (`scripts/check.sh --only bench`). The assertion pins
-/// the equivalence contract (identical sorted rows) before timing either
-/// engine; the columnar id should run well ahead of the row id once the
-/// snapshot executor cache is warm.
-fn vectorized_vs_row(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sql_parallel_vectorized_vs_row_100k");
-    group.sample_size(10);
-    let system = populated_system(100_000);
-    let row = system
-        .query_with_opts(QUERY_1, 4, false)
-        .unwrap()
-        .sorted_rows();
-    let columnar = system
-        .query_with_opts(QUERY_1, 4, true)
-        .unwrap()
-        .sorted_rows();
-    assert_eq!(columnar, row, "columnar results must match the row engine");
-    for (label, vectorized) in [("row", false), ("columnar", true)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &vectorized, |b, &v| {
-            b.iter(|| system.query_with_opts(QUERY_1, 4, v).unwrap())
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     query1_dop_sweep,
     snapshot_scan_dop_sweep,
-    stats_sampler_overhead,
-    vectorized_vs_row
+    stats_sampler_overhead
 );
 criterion_main!(benches);

@@ -13,8 +13,8 @@ use squery_nexmark::q6::{average_state_schema, maxbid_state_schema};
 use squery_qcommerce::{QUERY_1, QUERY_2, QUERY_3, QUERY_4};
 use std::path::Path;
 
-/// The q6 analytics join over the two operator states (the bench gate's
-/// shape, aggregated so the result is scale-independent).
+/// The q6 analytics join over the two operator states, aggregated so the
+/// result is scale-independent.
 const NEXMARK_Q6: &str = "SELECT COUNT(*), AVG(average) FROM \"snapshot_average\" a \
                           JOIN \"snapshot_maxbid\" b ON a.partitionKey = b.seller";
 
@@ -92,7 +92,7 @@ fn capture(system: &SQuery, ssid: SnapshotId) -> Result<String, String> {
         ("nexmark_q6", NEXMARK_Q6),
     ] {
         let rows = system
-            .query_with_opts(sql, DOP, true)
+            .query_with_dop(sql, DOP)
             .map_err(|e| format!("{name} failed: {e}"))?
             .sorted_rows();
         out.push_str(&format!("{name}:{}\n", render_rows(&rows)));

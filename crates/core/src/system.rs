@@ -166,12 +166,11 @@ impl SQuery {
         self.sql.query_with_dop(sql, dop)
     }
 
-    /// Run a SQL query with explicit parallelism and vectorized-execution
-    /// choices. `vectorized: false` forces the row engine even where the
-    /// columnar kernels apply — the equivalence tests and bench gate use
-    /// this to compare both paths over identical state.
-    pub fn query_with_opts(&self, sql: &str, dop: usize, vectorized: bool) -> SqResult<ResultSet> {
-        self.sql.query_with_opts(sql, dop, vectorized)
+    /// Run a SQL query on the sequential row reference instead of the
+    /// columnar driver — the oracle the equivalence tests compare every
+    /// DOP's output against over identical state.
+    pub fn query_reference(&self, sql: &str) -> SqResult<ResultSet> {
+        self.sql.query_reference(sql)
     }
 
     /// The direct object interface (point/multi-key reads, Figure 14).

@@ -72,11 +72,9 @@ pub struct ExecContext {
     /// Span/per-node-statistics sink, present when the query is traced
     /// (collector enabled) or profiled (`EXPLAIN ANALYZE`).
     pub trace: Option<ExecTrace>,
-    /// Whether the executor may use the columnar batch kernels for plan
-    /// shapes they cover. `false` forces the row engine everywhere —
-    /// the fallback path, and the baseline of the equivalence tests and
-    /// the vectorized-vs-row benchmarks.
-    pub vectorized: bool,
+    /// `true` runs the columnar driver; `false` runs the sequential row
+    /// reference (at any DOP), the oracle of the equivalence tests.
+    pub(crate) vectorized: bool,
 }
 
 impl ExecContext {
@@ -100,8 +98,10 @@ impl ExecContext {
         self
     }
 
-    /// The same context with the columnar kernels enabled or disabled.
-    pub fn with_vectorized(mut self, vectorized: bool) -> ExecContext {
+    /// The same context on the columnar driver (`true`) or the row
+    /// reference (`false`).
+    #[cfg(test)]
+    pub(crate) fn with_vectorized(mut self, vectorized: bool) -> ExecContext {
         self.vectorized = vectorized;
         self
     }

@@ -211,7 +211,6 @@ pub struct SqlEngine<C: Catalog> {
     telemetry: Option<EngineTelemetry>,
     parallelism: Parallelism,
     query_log: Option<QueryLog>,
-    vectorized: bool,
 }
 
 impl<C: Catalog> SqlEngine<C> {
@@ -223,7 +222,6 @@ impl<C: Catalog> SqlEngine<C> {
             telemetry: None,
             parallelism: Parallelism::sequential(),
             query_log: None,
-            vectorized: true,
         }
     }
 
@@ -235,16 +233,7 @@ impl<C: Catalog> SqlEngine<C> {
             telemetry: None,
             parallelism: Parallelism::sequential(),
             query_log: None,
-            vectorized: true,
         }
-    }
-
-    /// Enable or disable the columnar batch kernels for every query this
-    /// engine runs (default enabled; plan shapes the kernels don't cover
-    /// fall back to the row engine either way).
-    pub fn with_vectorized(mut self, vectorized: bool) -> SqlEngine<C> {
-        self.vectorized = vectorized;
-        self
     }
 
     /// Record every query (including failures) into `log`.
@@ -295,7 +284,7 @@ impl<C: Catalog> SqlEngine<C> {
     /// `LOCALTIMESTAMP` are captured once, before execution, so every table
     /// in the query reads one consistent snapshot.
     pub fn query(&self, sql: &str) -> SqResult<ResultSet> {
-        self.query_at(sql, self.parallelism, self.vectorized)
+        self.query_at(sql, self.parallelism, true)
     }
 
     /// Run one `SELECT` with an explicit degree of parallelism, overriding
@@ -308,22 +297,21 @@ impl<C: Catalog> SqlEngine<C> {
                 degree: dop.max(1),
                 ..self.parallelism
             },
-            self.vectorized,
+            true,
         )
     }
 
-    /// Run one `SELECT` with both the degree of parallelism and the
-    /// vectorized-execution toggle chosen per query. `vectorized: false`
-    /// forces the row engine even where the batch kernels would apply —
-    /// used by the equivalence tests and the bench gate to compare paths.
-    pub fn query_with_opts(&self, sql: &str, dop: usize, vectorized: bool) -> SqResult<ResultSet> {
+    /// Run one `SELECT` on the sequential row reference instead of the
+    /// columnar driver: the oracle the equivalence tests compare every
+    /// DOP's output against.
+    pub fn query_reference(&self, sql: &str) -> SqResult<ResultSet> {
         self.query_at(
             sql,
             Parallelism {
-                degree: dop.max(1),
+                degree: 1,
                 ..self.parallelism
             },
-            vectorized,
+            false,
         )
     }
 

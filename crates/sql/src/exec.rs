@@ -1,30 +1,25 @@
 //! Plan execution: scans → hash joins → filter → aggregation → projection →
 //! HAVING → ORDER BY → LIMIT.
 //!
-//! Two drivers share one set of operators:
-//!
-//! * the **sequential** path (`parallelism.degree == 1`) materializes each
-//!   scan whole and folds it — today's behavior, unchanged;
-//! * the **parallel** path runs a morsel-style driver on scoped worker
-//!   threads: workers claim partition slices (or row chunks of unsliceable
-//!   scans) from an atomic cursor, run scan → join probe → filter → partial
-//!   aggregation per slice, and the coordinator merges partial states in
-//!   slice order. Because slice order is each table's canonical row order
-//!   and all merges preserve it, both paths return row-for-row identical
-//!   output; ORDER BY/LIMIT always run post-merge on the complete result
-//!   (see DESIGN.md §5).
+//! Every query runs on the columnar driver (`vectorized.rs`), sequential at
+//! DOP 1 and morsel-driven above it. This module holds what that driver
+//! shares — the morsel core (`units_of`, `claim_units`,
+//! [`parallel_scan_batches`]), the accumulators and partial-aggregate
+//! merge, and the project/sort/limit tail — plus the **row reference**: a
+//! sequential row-at-a-time evaluator that materializes each scan whole and
+//! folds it. The reference runs only when a context turns the columnar
+//! driver off (`SqlEngine::query_reference`), as the oracle the
+//! equivalence tests compare every DOP against (see DESIGN.md §5).
 
 use crate::ast::AggregateFunc;
 use crate::batch::ColumnarBatch;
 use crate::catalog::{ExecContext, ExecTrace, TableSlices};
 use crate::plan::{AggregateNode, JoinNode, PhysicalPlan};
 use parking_lot::Mutex;
-use squery_common::partition::FnvHasher;
 use squery_common::trace::SpanGuard;
 use squery_common::{SqError, SqResult, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,20 +54,19 @@ pub(crate) fn start_node<'a>(
     })
 }
 
-/// Execute a plan, producing output rows matching `plan.output_schema`.
+/// Execute a plan, producing output rows matching `plan.output_schema`: on
+/// the columnar driver, or on the sequential row reference (at any DOP)
+/// when the context turns the columnar driver off.
 pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> SqResult<Vec<Vec<Value>>> {
     if ctx.vectorized {
-        if let Some(result) = crate::vectorized::try_execute(plan, ctx) {
-            return result;
-        }
-    }
-    if ctx.parallelism.is_parallel() {
-        execute_parallel(plan, ctx)
+        crate::vectorized::try_execute(plan, ctx)
     } else {
         execute_sequential(plan, ctx)
     }
 }
 
+/// The row reference: materialize each scan whole, then join, filter,
+/// aggregate, and project row at a time.
 fn execute_sequential(plan: &PhysicalPlan, ctx: &ExecContext) -> SqResult<Vec<Vec<Value>>> {
     // --- scans + joins ----------------------------------------------------
     let timer = start_node(ctx, "scan", "scan0".into());
@@ -198,80 +192,8 @@ fn sort_and_limit(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel driver
+// Morsel core (used by the columnar parallel driver)
 // ---------------------------------------------------------------------------
-
-/// Run the plan with `ctx.parallelism.degree` scoped worker threads.
-fn execute_parallel(plan: &PhysicalPlan, ctx: &ExecContext) -> SqResult<Vec<Vec<Value>>> {
-    // Resolve every scan's slices up front: snapshot tables capture their
-    // resolved ssids here, from the one pinned query context, so all workers
-    // read the same committed version(s). With the cost model's build side
-    // flipped (`build_left`, single-join plans only), the *right* scan
-    // becomes the morsel base and the left scan feeds the hash build.
-    let flipped = plan.joins.len() == 1 && plan.joins[0].build_left;
-    let (base_scan, base_node) = if flipped {
-        (&plan.scans[1], "scan1")
-    } else {
-        (&plan.scans[0], "scan0")
-    };
-    let base = base_scan.table.scan_partitions(&base_scan.hints, ctx)?;
-    let mut join_tables = Vec::with_capacity(plan.joins.len());
-    if flipped {
-        let scan = &plan.scans[0];
-        let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
-        let timer = start_node(ctx, "join_build", "join0".into());
-        let table = build_join_table(&slices, &plan.joins[0].left_keys, ctx, "scan0")?;
-        if let Some(t) = timer {
-            t.close(0, 0);
-        }
-        join_tables.push(table);
-    } else {
-        for (i, (scan, join)) in plan.scans[1..].iter().zip(plan.joins.iter()).enumerate() {
-            let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
-            let timer = start_node(ctx, "join_build", format!("join{i}"));
-            let table =
-                build_join_table(&slices, &join.right_keys, ctx, &format!("scan{}", i + 1))?;
-            if let Some(t) = timer {
-                t.close(0, 0);
-            }
-            join_tables.push(table);
-        }
-    }
-
-    match &plan.aggregate {
-        Some(node) => {
-            // Per-worker partial aggregation; coordinator merges in slice
-            // order so first-seen group order matches the sequential fold.
-            let partials = parallel_scan(&base, ctx, base_node, |rows, _unit| {
-                let joined = probe_and_filter(plan, &join_tables, ctx, rows)?;
-                let mut partial = PartialAgg::new();
-                accumulate(&joined, node, ctx, &mut partial)?;
-                Ok(partial)
-            })?;
-            let timer = start_node(ctx, "aggregate", "aggregate".into());
-            let mut merged = PartialAgg::new();
-            for partial in partials {
-                merged.merge(partial)?;
-            }
-            let rows = finish_groups(merged, node);
-            if let Some(t) = timer {
-                t.close(rows.len() as u64, 0);
-            }
-            let projected = project_rows(plan, ctx, &rows)?;
-            Ok(finish_output(plan, ctx, projected))
-        }
-        None => {
-            // Filter + projection run per slice; the coordinator only
-            // concatenates, sorts (stable, post-merge), and limits.
-            let chunks = parallel_scan(&base, ctx, base_node, |rows, _unit| {
-                let joined = probe_and_filter(plan, &join_tables, ctx, rows)?;
-                project_rows(plan, ctx, &joined)
-            })?;
-            let projected: Vec<(Vec<Value>, Vec<Value>)> = chunks.into_iter().flatten().collect();
-            Ok(finish_output(plan, ctx, projected))
-        }
-    }
-}
 
 /// One claimable unit of base-scan work.
 enum Unit {
@@ -359,56 +281,10 @@ fn claim_units<R: Send>(
         .collect())
 }
 
-/// Morsel driver over rows: workers claim units, map each unit's rows
-/// through `f`, and the results come back in unit order.
-///
-/// Traced queries open one `slice` span per claimed unit, folding the slice's
-/// scanned rows (and one claimed slice) into plan node `node`'s statistics.
-fn parallel_scan<R: Send>(
-    slices: &TableSlices,
-    ctx: &ExecContext,
-    node: &str,
-    f: impl Fn(&[Vec<Value>], usize) -> SqResult<R> + Sync,
-) -> SqResult<Vec<R>> {
-    let (units, whole_rows) = units_of(slices, ctx);
-    claim_units(units.len(), ctx.parallelism.degree, |i| {
-        let timer = start_node(ctx, "slice", node.to_string());
-        let scanned;
-        let result = match units[i] {
-            Unit::Slice(s) => {
-                let TableSlices::Sliced(sl) = slices else {
-                    unreachable!("slice units imply sliced scan")
-                };
-                let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
-                let rows = sl.scan_slice(s)?;
-                if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
-                    h.record(t0.elapsed().as_micros() as u64);
-                }
-                if let Some(c) = &ctx.rows_scanned {
-                    c.add(rows.len() as u64);
-                }
-                scanned = rows.len() as u64;
-                f(&rows, i)
-            }
-            Unit::Range(a, b) => {
-                let rows = &whole_rows.expect("range units imply whole rows")[a..b];
-                if let Some(c) = &ctx.rows_scanned {
-                    c.add(rows.len() as u64);
-                }
-                scanned = rows.len() as u64;
-                f(rows, i)
-            }
-        };
-        if let Some(mut t) = timer {
-            t.guard.label("unit", i);
-            t.close(scanned, 1);
-        }
-        result
-    })
-}
-
-/// The batch twin of [`parallel_scan`]: the same unit claiming, ordering,
-/// error, and tracing contract, but each unit materializes as columnar
+/// Morsel driver over batches: workers claim units and map each through
+/// `f`, results in unit order. Traced queries open one `slice` span per
+/// claimed unit, folding the unit's scanned rows (and one claimed slice)
+/// into plan node `node`'s statistics. Each unit materializes as columnar
 /// batches restricted to the `cols` schema columns — sliced scans go
 /// through [`crate::catalog::slice_batches_cached`] (typed extraction
 /// straight from storage, pruned columns never touched, memoized across
@@ -464,182 +340,6 @@ pub(crate) fn parallel_scan_batches<R: Send>(
     })
 }
 
-/// One shard of the in-progress join build: key → `(row seq, row)` matches.
-type BuildShard = Mutex<HashMap<Vec<Value>, Vec<(u64, Vec<Value>)>>>;
-/// `(key, global row sequence, row)` bucketed locally before shard insertion.
-type BuildEntry = (Vec<Value>, u64, Vec<Value>);
-
-/// A frozen, shard-partitioned join build table.
-struct FrozenJoinTable {
-    shards: Vec<HashMap<Vec<Value>, Vec<Vec<Value>>>>,
-    mask: u64,
-}
-
-impl FrozenJoinTable {
-    fn get(&self, key: &[Value]) -> Option<&Vec<Vec<Value>>> {
-        self.shards[(shard_hash(key) & self.mask) as usize].get(key)
-    }
-}
-
-fn shard_hash(key: &[Value]) -> u64 {
-    let mut h = FnvHasher::default();
-    for v in key {
-        v.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Build one join's hash table in parallel: workers insert into key-sharded
-/// mutexed maps; after the scan barrier the shards are frozen and each key's
-/// match list is ordered by global row sequence, so probe output order is
-/// identical to the sequential single-threaded build. `keys` are the build
-/// side's join-key column indexes (`right_keys` normally, `left_keys` when
-/// the cost model flipped the build side).
-fn build_join_table(
-    slices: &TableSlices,
-    keys: &[usize],
-    ctx: &ExecContext,
-    scan_key: &str,
-) -> SqResult<FrozenJoinTable> {
-    let shard_count = (ctx.parallelism.degree * 4).next_power_of_two();
-    let mask = shard_count as u64 - 1;
-    let shards: Vec<BuildShard> = (0..shard_count)
-        .map(|_| Mutex::new(HashMap::new()))
-        .collect();
-    parallel_scan(slices, ctx, scan_key, |rows, unit| {
-        // Bucket locally first so each shard lock is taken at most once per
-        // unit.
-        let mut local: Vec<Vec<BuildEntry>> = vec![Vec::new(); shard_count];
-        'rows: for (i, row) in rows.iter().enumerate() {
-            let mut key = Vec::with_capacity(keys.len());
-            for &k in keys {
-                let v = row
-                    .get(k)
-                    .ok_or_else(|| SqError::Exec("join key out of range".into()))?;
-                if v.is_null() {
-                    continue 'rows;
-                }
-                key.push(v.clone());
-            }
-            let seq = ((unit as u64) << 32) | i as u64;
-            let shard = (shard_hash(&key) & mask) as usize;
-            local[shard].push((key, seq, row.clone()));
-        }
-        for (shard, entries) in local.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let mut guard = shards[shard].lock();
-            for (key, seq, row) in entries {
-                guard.entry(key).or_default().push((seq, row));
-            }
-        }
-        Ok(())
-    })?;
-    let shards = shards
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .into_iter()
-                .map(|(k, mut v)| {
-                    v.sort_unstable_by_key(|(seq, _)| *seq);
-                    (k, v.into_iter().map(|(_, r)| r).collect())
-                })
-                .collect()
-        })
-        .collect();
-    Ok(FrozenJoinTable { shards, mask })
-}
-
-/// Probe one slice's rows through every join table, then apply the filter.
-fn probe_and_filter(
-    plan: &PhysicalPlan,
-    join_tables: &[FrozenJoinTable],
-    ctx: &ExecContext,
-    rows: &[Vec<Value>],
-) -> SqResult<Vec<Vec<Value>>> {
-    let mut current = if join_tables.is_empty() {
-        rows.to_vec()
-    } else {
-        let mut current = probe_step(rows, &join_tables[0], &plan.joins[0])?;
-        if let Some(t) = &ctx.trace {
-            t.add("join0", current.len() as u64, 0, 0);
-        }
-        for (i, (table, join)) in join_tables[1..].iter().zip(&plan.joins[1..]).enumerate() {
-            current = probe_step(&current, table, join)?;
-            if let Some(t) = &ctx.trace {
-                t.add(&format!("join{}", i + 1), current.len() as u64, 0, 0);
-            }
-        }
-        current
-    };
-    if let Some(filter) = &plan.filter {
-        let mut kept = Vec::with_capacity(current.len());
-        for row in current {
-            if filter.matches(&row, ctx)? {
-                kept.push(row);
-            }
-        }
-        current = kept;
-        if let Some(t) = &ctx.trace {
-            t.add("filter", current.len() as u64, 0, 0);
-        }
-    }
-    Ok(current)
-}
-
-/// One probe pass; same semantics as [`hash_join`]'s probe (NULL keys never
-/// match, `right_drop` columns dropped). `probe` holds the probe side's rows:
-/// the left scan normally, the right scan when `join.build_left` flipped the
-/// build side — output columns stay `[left…, kept right…]` either way, only
-/// the row order becomes probe-major.
-fn probe_step(
-    probe: &[Vec<Value>],
-    table: &FrozenJoinTable,
-    join: &JoinNode,
-) -> SqResult<Vec<Vec<Value>>> {
-    let probe_keys = if join.build_left {
-        &join.right_keys
-    } else {
-        &join.left_keys
-    };
-    let mut out = Vec::new();
-    'probe: for prow in probe {
-        let mut key = Vec::with_capacity(probe_keys.len());
-        for &i in probe_keys {
-            let v = prow
-                .get(i)
-                .ok_or_else(|| SqError::Exec("join key out of range".into()))?;
-            if v.is_null() {
-                continue 'probe;
-            }
-            key.push(v.clone());
-        }
-        if let Some(matches) = table.get(&key) {
-            for mrow in matches {
-                let mut combined;
-                if join.build_left {
-                    combined = mrow.clone();
-                    for (i, v) in prow.iter().enumerate() {
-                        if !join.right_drop.contains(&i) {
-                            combined.push(v.clone());
-                        }
-                    }
-                } else {
-                    combined = prow.clone();
-                    for (i, v) in mrow.iter().enumerate() {
-                        if !join.right_drop.contains(&i) {
-                            combined.push(v.clone());
-                        }
-                    }
-                }
-                out.push(combined);
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Inner hash join. NULL keys never match (SQL semantics).
 ///
 /// With `join.build_left` (the cost model judged the left side smaller) the
@@ -651,87 +351,53 @@ fn hash_join(
     right: Vec<Vec<Value>>,
     join: &JoinNode,
 ) -> SqResult<Vec<Vec<Value>>> {
-    if join.build_left {
-        let mut table: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::with_capacity(left.len());
-        'rows: for row in &left {
-            let mut key = Vec::with_capacity(join.left_keys.len());
-            for &i in &join.left_keys {
-                let v = row
-                    .get(i)
-                    .ok_or_else(|| SqError::Exec("join key out of range".into()))?;
-                if v.is_null() {
-                    continue 'rows;
-                }
-                key.push(v.clone());
-            }
+    let (build, build_keys, probe, probe_keys) = if join.build_left {
+        (&left, &join.left_keys, &right, &join.right_keys)
+    } else {
+        (&right, &join.right_keys, &left, &join.left_keys)
+    };
+    let mut table: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::with_capacity(build.len());
+    for row in build {
+        if let Some(key) = join_key(row, build_keys)? {
             table.entry(key).or_default().push(row);
         }
-        let mut out = Vec::new();
-        'probe: for rrow in &right {
-            let mut key = Vec::with_capacity(join.right_keys.len());
-            for &i in &join.right_keys {
-                let v = rrow
-                    .get(i)
-                    .ok_or_else(|| SqError::Exec("join key out of range".into()))?;
-                if v.is_null() {
-                    continue 'probe;
-                }
-                key.push(v.clone());
-            }
-            if let Some(matches) = table.get(&key) {
-                for lrow in matches {
-                    let mut combined = (*lrow).clone();
-                    for (i, v) in rrow.iter().enumerate() {
-                        if !join.right_drop.contains(&i) {
-                            combined.push(v.clone());
-                        }
-                    }
-                    out.push(combined);
-                }
-            }
-        }
-        return Ok(out);
-    }
-    // Build on the right side.
-    let mut table: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::with_capacity(right.len());
-    'rows: for row in &right {
-        let mut key = Vec::with_capacity(join.right_keys.len());
-        for &i in &join.right_keys {
-            let v = row
-                .get(i)
-                .ok_or_else(|| SqError::Exec("join key out of range".into()))?;
-            if v.is_null() {
-                continue 'rows;
-            }
-            key.push(v.clone());
-        }
-        table.entry(key).or_default().push(row);
     }
     let mut out = Vec::new();
-    'probe: for lrow in &left {
-        let mut key = Vec::with_capacity(join.left_keys.len());
-        for &i in &join.left_keys {
-            let v = lrow
-                .get(i)
-                .ok_or_else(|| SqError::Exec("join key out of range".into()))?;
-            if v.is_null() {
-                continue 'probe;
-            }
-            key.push(v.clone());
-        }
-        if let Some(matches) = table.get(&key) {
-            for rrow in matches {
-                let mut combined = lrow.clone();
-                for (i, v) in rrow.iter().enumerate() {
-                    if !join.right_drop.contains(&i) {
-                        combined.push(v.clone());
-                    }
+    for prow in probe {
+        let Some(key) = join_key(prow, probe_keys)? else {
+            continue;
+        };
+        for &brow in table.get(&key).into_iter().flatten() {
+            let (lrow, rrow) = if join.build_left {
+                (brow, prow)
+            } else {
+                (prow, brow)
+            };
+            let mut combined = lrow.clone();
+            for (i, v) in rrow.iter().enumerate() {
+                if !join.right_drop.contains(&i) {
+                    combined.push(v.clone());
                 }
-                out.push(combined);
             }
+            out.push(combined);
         }
     }
     Ok(out)
+}
+
+/// The join key of `row` at `keys`, or `None` when a component is NULL.
+fn join_key(row: &[Value], keys: &[usize]) -> SqResult<Option<Vec<Value>>> {
+    let mut key = Vec::with_capacity(keys.len());
+    for &i in keys {
+        let v = row
+            .get(i)
+            .ok_or_else(|| SqError::Exec("join key out of range".into()))?;
+        if v.is_null() {
+            return Ok(None);
+        }
+        key.push(v.clone());
+    }
+    Ok(Some(key))
 }
 
 /// One aggregate accumulator.
@@ -1126,10 +792,22 @@ mod tests {
         ])
     }
 
+    /// The row reference's output, asserted equal to the columnar
+    /// driver's.
     fn run(sql: &str) -> Vec<Vec<Value>> {
         let c = catalog();
         let p = plan(&parse(sql).unwrap(), &c).unwrap();
-        execute(&p, &ExecContext::live_only(0)).unwrap()
+        let reference = execute(&p, &reference_ctx()).unwrap();
+        assert_eq!(
+            execute(&p, &ExecContext::live_only(0)).unwrap(),
+            reference,
+            "{sql}"
+        );
+        reference
+    }
+
+    fn reference_ctx() -> ExecContext {
+        ExecContext::live_only(0).with_vectorized(false)
     }
 
     #[test]
@@ -1315,13 +993,14 @@ mod tests {
             &c,
         )
         .unwrap();
-        let rows = execute(&p, &ExecContext::live_only(0)).unwrap();
+        let rows = execute(&p, &reference_ctx()).unwrap();
         // 3 non-null totals match themselves exactly once each.
         assert_eq!(rows.len(), 3);
+        assert_eq!(execute(&p, &ExecContext::live_only(0)).unwrap(), rows);
     }
 
-    /// A context that forces parallel execution with one-row morsels, so even
-    /// the tiny test tables split into many units.
+    /// A columnar context that forces parallel execution with one-row
+    /// morsels, so even the tiny test tables split into many units.
     fn parallel_ctx(dop: usize) -> ExecContext {
         ExecContext::live_only(0).with_parallelism(Parallelism {
             degree: dop,
@@ -1330,7 +1009,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_row_for_row() {
+    fn parallel_matches_reference_row_for_row() {
         let queries = [
             "SELECT * FROM orders",
             "SELECT total FROM orders WHERE zone = 'north'",
@@ -1346,10 +1025,10 @@ mod tests {
         let c = catalog();
         for sql in queries {
             let p = plan(&parse(sql).unwrap(), &c).unwrap();
-            let sequential = execute(&p, &ExecContext::live_only(0)).unwrap();
-            for dop in [2, 4, 8] {
+            let reference = execute(&p, &reference_ctx()).unwrap();
+            for dop in [1, 2, 4, 8] {
                 let parallel = execute(&p, &parallel_ctx(dop)).unwrap();
-                assert_eq!(parallel, sequential, "dop {dop}: {sql}");
+                assert_eq!(parallel, reference, "dop {dop}: {sql}");
             }
         }
     }
@@ -1363,14 +1042,16 @@ mod tests {
             &c,
         )
         .unwrap();
-        assert!(execute(&p, &ExecContext::live_only(0)).is_err());
-        assert!(execute(&p, &parallel_ctx(4)).is_err());
+        assert!(execute(&p, &reference_ctx()).is_err());
+        for dop in [1, 4] {
+            assert!(execute(&p, &parallel_ctx(dop)).is_err(), "dop {dop}");
+        }
     }
 
     #[test]
-    fn parallel_sum_promotes_like_sequential() {
+    fn parallel_sum_promotes_like_reference() {
         // Mixed Int/Float SUM: the merged accumulator must promote to Float
-        // exactly when the sequential fold does.
+        // exactly when the reference's sequential fold does.
         let s = schema(vec![("v", DataType::Any)]);
         let rows = vec![
             vec![Value::Int(1)],
@@ -1380,10 +1061,10 @@ mod tests {
         ];
         let c = MemCatalog::new(vec![Arc::new(MemTable::new("t", s, rows))]);
         let p = plan(&parse("SELECT SUM(v) FROM t").unwrap(), &c).unwrap();
-        let sequential = execute(&p, &ExecContext::live_only(0)).unwrap();
-        assert_eq!(sequential, vec![vec![Value::Float(10.5)]]);
-        for dop in [2, 4] {
-            assert_eq!(execute(&p, &parallel_ctx(dop)).unwrap(), sequential);
+        let reference = execute(&p, &reference_ctx()).unwrap();
+        assert_eq!(reference, vec![vec![Value::Float(10.5)]]);
+        for dop in [1, 2, 4] {
+            assert_eq!(execute(&p, &parallel_ctx(dop)).unwrap(), reference);
         }
     }
 }

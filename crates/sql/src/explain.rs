@@ -51,28 +51,18 @@ fn build_tree(plan: &PhysicalPlan) -> Node {
         current = node;
     }
 
-    if let Some(f) = &plan.filter {
-        let mut label = String::from("Filter");
-        // A filter the batch kernels cover runs columnar (with per-batch
-        // row fallback); compile with a zeroed clock — coverage does not
-        // depend on the timestamp value.
-        if crate::vectorized::compile_pred(f, 0).is_some() {
-            label.push_str(" [vectorized]");
-        }
-        let mut node = Node::new(label, Some("filter".into()));
+    if plan.filter.is_some() {
+        let mut node = Node::new("Filter".into(), Some("filter".into()));
         node.children.push(current);
         current = node;
     }
 
     if let Some(agg) = &plan.aggregate {
-        let mut label = format!(
+        let label = format!(
             "Aggregate (groups: {}, aggs: {})",
             agg.group_exprs.len(),
             agg.aggs.len()
         );
-        if crate::vectorized::agg_shape(agg).is_some() {
-            label.push_str(" [vectorized]");
-        }
         let mut node = Node::new(label, Some("aggregate".into()));
         node.children.push(current);
         current = node;
@@ -240,8 +230,8 @@ mod tests {
                 "Sort (keys: 1, limit: 5)",
                 "└─ Project [zone, n]",
                 "   └─ Having",
-                "      └─ Aggregate (groups: 1, aggs: 1) [vectorized]",
-                "         └─ Filter [vectorized]",
+                "      └─ Aggregate (groups: 1, aggs: 1)",
+                "         └─ Filter",
                 "            └─ HashJoin (keys: 1)",
                 "               ├─ Scan orders",
                 "               └─ Scan info",
@@ -295,22 +285,25 @@ mod tests {
         );
         // Un-measured instrumented nodes still render, with zero stats.
         assert!(
-            lines
-                .iter()
-                .any(|l| l.contains("Filter [vectorized] (rows=0 wall=0us)")),
+            lines.iter().any(|l| l.contains("Filter (rows=0 wall=0us)")),
             "{lines:?}"
         );
     }
 
     #[test]
-    fn uncovered_filter_renders_without_vectorized_tag() {
-        // Scalar functions are outside the kernel subset: the row engine
-        // runs the whole query, and EXPLAIN must not claim otherwise.
-        let lines = explain("SELECT zone FROM orders WHERE LENGTH(zone) > 4");
-        assert!(
-            lines.iter().any(|l| l.trim_start() == "└─ Filter"),
-            "{lines:?}"
-        );
+    fn filter_label_does_not_claim_an_engine() {
+        // Whether or not a filter compiles to kernels, one executor runs
+        // it, so a plan-only EXPLAIN labels both filters the same.
+        for sql in [
+            "SELECT zone FROM orders WHERE total > 4",
+            "SELECT zone FROM orders WHERE LENGTH(zone) > 4",
+        ] {
+            let lines = explain(sql);
+            assert!(
+                lines.iter().any(|l| l.trim_start() == "└─ Filter"),
+                "{lines:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,31 +1,29 @@
-//! The vectorized (columnar) executor.
+//! The vectorized (columnar) executor: the production driver for every plan.
 //!
-//! Plans whose shape the batch kernels cover run here instead of the row
-//! engine: scans materialize as [`ColumnarBatch`]es (typed column vectors
-//! built at the scan boundary), the `WHERE` clause compiles once per query
-//! into a [`VecPred`] kernel tree evaluated column-at-a-time per batch, the
-//! hash join builds over the build side's (column-pruned, cached) batches
-//! and its probe gathers matching build cells batch-wise, and aggregates fold
-//! typed columns into the row engine's own accumulators via per-type fast
-//! paths.
+//! Scans materialize as [`ColumnarBatch`]es (typed column vectors built at
+//! the scan boundary), the `WHERE` clause compiles once per query into a
+//! [`VecPred`] kernel tree evaluated column-at-a-time per batch, each hash
+//! join of the chain builds over its build side's (column-pruned, cached)
+//! batches and its probe gathers matching build cells batch-wise, and
+//! aggregates fold typed columns into the shared accumulators via per-type
+//! fast paths.
 //!
-//! **Equivalence contract.** Output is row-for-row identical to the row
-//! engine at every DOP — same rows, same order, bit-identical floats:
+//! **Equivalence contract.** Output is row-for-row identical to the
+//! sequential row reference (`exec.rs`) at every DOP — same rows, same
+//! order, bit-identical floats:
 //!
 //! * batches preserve row order, and every merge (morsel units, per-group
-//!   accumulators) happens in the same order as the row engine's;
+//!   accumulators) happens in the same order as the reference's fold;
 //! * kernels mirror `Value::sql_cmp` / Kleene semantics exactly;
-//! * any batch a kernel cannot handle faithfully — mixed-type (`Any`)
-//!   columns, runtime type pairings the row engine would reject — is
-//!   **row-evaluated wholesale** with the original expressions, so errors
-//!   and three-valued edge cases reproduce exactly;
-//! * plans outside the covered shape (multi-join, uncompilable filters)
-//!   never enter this module: [`try_execute`] returns `None` and the row
-//!   engine runs.
+//! * a filter outside the kernel subset (scalar functions, arithmetic), and
+//!   any batch a kernel cannot handle faithfully — mixed-type (`Any`)
+//!   columns, runtime type pairings the reference would reject — is
+//!   **row-evaluated per batch** with the original expression, so errors
+//!   and three-valued edge cases reproduce exactly.
 //!
-//! The morsel driver, DOP semantics, and tracing contract are shared with
-//! `exec.rs`, so `EXPLAIN ANALYZE` and the DOP-equivalence machinery carry
-//! over unchanged.
+//! The morsel driver and tracing contract are shared with `exec.rs`: the
+//! node keys (`scan{i}`, `join{i}`, `filter`, `aggregate`) match the
+//! reference's, so `EXPLAIN ANALYZE` renders the same tree either way.
 
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::batch::{Column, ColumnBuilder, ColumnarBatch, Mask, Tri};
@@ -35,7 +33,7 @@ use crate::exec::{
     NodeTimer, PartialAgg,
 };
 use crate::expr::{like_match, BoundExpr};
-use crate::plan::{AggregateNode, JoinNode, PhysicalPlan, ScanNode};
+use crate::plan::{AggregateNode, PhysicalPlan};
 use squery_common::partition::FnvHasher;
 use squery_common::{SqResult, Value};
 use std::cmp::Ordering;
@@ -155,9 +153,9 @@ fn operand(e: &BoundExpr, now_micros: i64) -> Option<Operand> {
 }
 
 /// Compile a filter expression into a kernel tree, or `None` if any part of
-/// it is outside the covered subset (the whole query then runs on the row
-/// engine).
-pub(crate) fn compile_pred(expr: &BoundExpr, now_micros: i64) -> Option<VecPred> {
+/// it is outside the covered subset (every batch then row-evaluates the
+/// filter).
+fn compile_pred(expr: &BoundExpr, now_micros: i64) -> Option<VecPred> {
     match expr {
         BoundExpr::Column(i) => Some(VecPred::BoolCol { col: *i }),
         BoundExpr::Literal(v) => match v {
@@ -191,8 +189,8 @@ pub(crate) fn compile_pred(expr: &BoundExpr, now_micros: i64) -> Option<VecPred>
                         op: op.flip(),
                         lit: v,
                     }),
-                    // Constant comparisons are rare; leave them to the row
-                    // engine (they may legitimately error).
+                    // Constant comparisons are rare; leave them to row
+                    // evaluation (they may legitimately error).
                     (Operand::Lit(_), Operand::Lit(_)) => None,
                 }
             }
@@ -243,8 +241,8 @@ pub(crate) fn compile_pred(expr: &BoundExpr, now_micros: i64) -> Option<VecPred>
             else {
                 return None;
             };
-            // NULL bounds take the row engine's three-valued shortcuts;
-            // keep those on the row path.
+            // NULL bounds take the row evaluator's three-valued
+            // shortcuts; keep those on the row path.
             if lo.is_null() || hi.is_null() {
                 return None;
             }
@@ -547,18 +545,15 @@ fn cmp_cols(l: &Column, op: CmpOp, r: &Column) -> Option<Mask> {
 // Filter application
 // ---------------------------------------------------------------------------
 
-/// Selected row indices for one batch: the kernel mask when the batch is
-/// kernelizable, a per-row fallback through the layout-remapped original
-/// expression (exact row-engine semantics, including errors) otherwise.
+/// Selected row indices for one batch: the kernel mask when the filter
+/// compiled and the batch is kernelizable, a per-row evaluation of the
+/// layout-remapped original expression (exact reference semantics,
+/// including errors) otherwise.
 fn filter_selection(lay: &Layout, batch: &ColumnarBatch, ctx: &ExecContext) -> SqResult<Vec<u32>> {
     let Some(filter) = &lay.filter else {
         return Ok((0..batch.len() as u32).collect());
     };
-    let pred = lay
-        .pred
-        .as_ref()
-        .expect("vectorized filter implies a compiled predicate");
-    if let Some(mask) = pred.eval(batch) {
+    if let Some(mask) = lay.pred.as_ref().and_then(|p| p.eval(batch)) {
         return Ok(mask.selected());
     }
     let mut sel = Vec::new();
@@ -665,9 +660,9 @@ fn probe_batch(
 
 /// The aggregate shapes the columnar accumulator covers: every GROUP BY
 /// expression and every aggregate argument is a plain column reference (or
-/// `COUNT(*)`). Anything else aggregates through the row engine's
+/// `COUNT(*)`). Anything else aggregates through the shared row
 /// `accumulate` over materialized rows.
-pub(crate) fn agg_shape(node: &AggregateNode) -> Option<(Vec<usize>, Vec<Option<usize>>)> {
+fn agg_shape(node: &AggregateNode) -> Option<(Vec<usize>, Vec<Option<usize>>)> {
     let mut group_cols = Vec::with_capacity(node.group_exprs.len());
     for g in &node.group_exprs {
         match g {
@@ -813,88 +808,108 @@ fn remap_cols(expr: &BoundExpr, map: &HashMap<usize, usize>) -> BoundExpr {
 /// The physical column layout of one query's pipeline batches, plus every
 /// downstream consumer remapped onto it.
 ///
-/// Covered aggregate plans materialize only the columns the filter, GROUP
-/// BY, and aggregate arguments actually touch (projections and HAVING run
-/// over aggregate *output* rows, so they never constrain the scan) — for
-/// the paper's Q1–Q4 that is 2–4 of ~12 joined columns. All other plans
-/// keep every logical column and materialize logical-order rows for the
-/// row-engine project/sort tail.
+/// The pipeline batch starts as the probe scan's columns and each join of
+/// the chain appends its build columns. Covered aggregate plans materialize
+/// only the columns the filter, GROUP BY, aggregate arguments, and later
+/// join keys actually touch (projections and HAVING run over aggregate
+/// *output* rows, so they never constrain the scan) — for the paper's
+/// Q1–Q4 that is 2–4 of ~12 joined columns. All other plans keep every
+/// logical column and materialize logical-order rows for the shared
+/// project/sort tail.
 struct Layout {
-    /// Probe-side scan columns to materialize, ascending scan order.
+    /// The probe (morsel base) scan: scan 0, or scan 1 when the cost model
+    /// flipped a single join's build side.
+    probe: usize,
+    /// Probe scan columns to materialize, ascending scan order.
     probe_cols: Vec<usize>,
-    /// Positions of the probe join keys within the pruned probe batch.
-    probe_key_pos: Vec<usize>,
-    /// Build-side scan columns to materialize: the join keys plus every
-    /// build column read downstream, ascending scan order.
-    build_scan: Vec<usize>,
-    /// Positions of the build join keys within the pruned build batches.
-    build_key_pos: Vec<usize>,
-    /// Build batch positions appended after the probe columns, in
-    /// ascending scan-column order.
-    build_cols: Vec<usize>,
+    /// The hash joins, in chain order.
+    joins: Vec<JoinLayout>,
     /// Batch position of each logical column, when every logical column is
     /// materialized (`None` for pruned aggregate layouts, which never
     /// materialize logical rows).
     row_pos: Option<Vec<usize>>,
-    /// The filter remapped onto the batch layout (the per-batch row
-    /// fallback evaluates this against pruned rows).
+    /// The filter remapped onto the batch layout (row evaluation runs this
+    /// against pruned rows).
     filter: Option<BoundExpr>,
-    /// The kernel tree compiled from the remapped filter.
+    /// The kernel tree compiled from the remapped filter, when the filter
+    /// lies inside the kernel subset.
     pred: Option<VecPred>,
     /// Remapped GROUP BY columns and aggregate arguments, when [`VecAgg`]
     /// covers the aggregate shape.
     agg: Option<(Vec<usize>, Vec<Option<usize>>)>,
 }
 
-/// Plan the batch layout, or `None` if the plan's shape is outside the
-/// columnar subset (multi-join chains, uncompilable filters) and the row
-/// engine must run instead.
-fn layout(plan: &PhysicalPlan, now_micros: i64) -> Option<Layout> {
-    if plan.scans.len() > 2 {
-        return None;
+/// One hash join of the chain: how its build scan materializes and where
+/// its keys and appended columns sit.
+struct JoinLayout {
+    /// The build scan's index in `plan.scans`.
+    scan: usize,
+    /// Build scan columns to materialize: the join keys plus every build
+    /// column read downstream, ascending scan order.
+    build_scan: Vec<usize>,
+    /// Positions of the build join keys within the pruned build batches.
+    build_key_pos: Vec<usize>,
+    /// Positions of the probe join keys within the pipeline batch entering
+    /// this join.
+    probe_key_pos: Vec<usize>,
+    /// Build batch positions appended to the pipeline batch, ascending
+    /// scan-column order.
+    build_cols: Vec<usize>,
+}
+
+/// Plan the batch layout of any plan shape.
+fn layout(plan: &PhysicalPlan, now_micros: i64) -> Layout {
+    // Logical column `l` of the joined row is column `logical[l].1` of scan
+    // `logical[l].0`: scan 0 whole, then each joined scan without its
+    // `right_drop` columns.
+    let mut logical: Vec<(usize, usize)> = (0..plan.scans[0].width).map(|c| (0, c)).collect();
+    for (j, join) in plan.joins.iter().enumerate() {
+        logical.extend(
+            (0..plan.scans[j + 1].width)
+                .filter(|c| !join.right_drop.contains(c))
+                .map(|c| (j + 1, c)),
+        );
     }
-    let join = plan.joins.first();
-    let flipped = join.is_some_and(|j| j.build_left);
-    let kept: Vec<usize> = join.map(|j| kept_right(plan, j)).unwrap_or_default();
-    let left_width = plan.scans[0].width;
-    let logical_width = left_width + kept.len();
+    // The planner flips only single joins (a chain's later left inputs
+    // have no estimate).
+    let flipped = plan.joins.len() == 1 && plan.joins[0].build_left;
 
     let shape = plan.aggregate.as_ref().and_then(agg_shape);
-    let used: Vec<usize> = if let Some((groups, args)) = &shape {
+    let mut used: BTreeSet<usize> = if let Some((groups, args)) = &shape {
         let mut set: BTreeSet<usize> = BTreeSet::new();
         if let Some(f) = &plan.filter {
             collect_cols(f, &mut set);
         }
         set.extend(groups.iter().copied());
         set.extend(args.iter().flatten().copied());
-        set.into_iter().collect()
+        set
     } else {
-        (0..logical_width).collect()
+        (0..logical.len()).collect()
     };
+    // Joins after the first probe with logical columns of the pipeline
+    // batch, so those must be materialized even when nothing else reads
+    // them.
+    for join in plan.joins.iter().skip(1) {
+        used.extend(join.left_keys.iter().copied());
+    }
+    // The used logical columns of scan `s`, ascending (and so ascending in
+    // scan-column order too).
+    let used_of = |s: usize| -> Vec<usize> {
+        used.iter()
+            .copied()
+            .filter(|&l| logical[l].0 == s)
+            .collect()
+    };
+    let pos_in = |cols: &[usize], c: &usize| cols.binary_search(c).expect("column materialized");
 
-    // Where each logical column physically lives: the probe-side scan or
-    // the build rows. Without a join everything is probe-side.
-    let probe_of = |l: usize| -> Option<usize> {
-        match join {
-            None => Some(l),
-            Some(_) if !flipped => (l < left_width).then_some(l),
-            Some(_) => (l >= left_width).then(|| kept[l - left_width]),
-        }
-    };
-    let build_of = |l: usize| -> Option<usize> {
-        match join {
-            None => None,
-            Some(_) if !flipped => (l >= left_width).then(|| kept[l - left_width]),
-            Some(_) => (l < left_width).then_some(l),
-        }
-    };
-
-    let mut probe_set: BTreeSet<usize> = used.iter().filter_map(|&l| probe_of(l)).collect();
-    if let Some(j) = join {
-        // Join keys must be materialized even when nothing downstream
-        // reads them.
-        let keys = if flipped { &j.right_keys } else { &j.left_keys };
-        probe_set.extend(keys.iter().copied());
+    let probe = usize::from(flipped);
+    let mut probe_set: BTreeSet<usize> = used_of(probe).iter().map(|&l| logical[l].1).collect();
+    // The first join probes with raw probe-scan columns, which must be
+    // materialized even when dropped from the logical row.
+    match plan.joins.first() {
+        Some(j) if flipped => probe_set.extend(j.right_keys.iter().copied()),
+        Some(j) => probe_set.extend(j.left_keys.iter().copied()),
+        None => {}
     }
     if probe_set.is_empty() {
         // COUNT(*)-style plans read no columns at all; keep one narrow
@@ -902,71 +917,72 @@ fn layout(plan: &PhysicalPlan, now_micros: i64) -> Option<Layout> {
         probe_set.insert(0);
     }
     let probe_cols: Vec<usize> = probe_set.into_iter().collect();
-    // `used` is ascending and each join side maps monotonically, so the
-    // filtered sequence stays ascending.
-    let build_cols: Vec<usize> = used.iter().filter_map(|&l| build_of(l)).collect();
-    let (probe_keys, build_keys): (&[usize], &[usize]) = match join {
-        Some(j) if flipped => (&j.right_keys, &j.left_keys),
-        Some(j) => (&j.left_keys, &j.right_keys),
-        None => (&[], &[]),
-    };
-    let pos_in = |cols: &[usize], c: &usize| cols.binary_search(c).expect("column materialized");
-    let probe_key_pos: Vec<usize> = probe_keys.iter().map(|k| pos_in(&probe_cols, k)).collect();
-    let build_scan: Vec<usize> = build_keys
-        .iter()
-        .chain(&build_cols)
-        .copied()
-        .collect::<BTreeSet<usize>>()
+    let mut out_pos: HashMap<usize, usize> = used_of(probe)
         .into_iter()
+        .map(|l| (l, pos_in(&probe_cols, &logical[l].1)))
         .collect();
-    let build_key_pos: Vec<usize> = build_keys.iter().map(|k| pos_in(&build_scan, k)).collect();
 
-    let mut out_pos: HashMap<usize, usize> = HashMap::with_capacity(used.len());
-    for &l in &used {
-        let pos = match probe_of(l) {
-            Some(c) => probe_cols
-                .binary_search(&c)
-                .expect("probe column materialized"),
-            None => {
-                let c = build_of(l).expect("column is probe- or build-side");
-                probe_cols.len()
-                    + build_cols
-                        .binary_search(&c)
-                        .expect("build column materialized")
-            }
+    let mut width = probe_cols.len();
+    let mut joins = Vec::with_capacity(plan.joins.len());
+    for (j, join) in plan.joins.iter().enumerate() {
+        let (scan, probe_keys, build_keys) = if flipped {
+            (0, &join.right_keys, &join.left_keys)
+        } else {
+            (j + 1, &join.left_keys, &join.right_keys)
         };
-        out_pos.insert(l, pos);
+        let probe_key_pos = if j == 0 {
+            probe_keys.iter().map(|k| pos_in(&probe_cols, k)).collect()
+        } else {
+            probe_keys.iter().map(|k| out_pos[k]).collect()
+        };
+        let appended = used_of(scan);
+        let build_scan: Vec<usize> = appended
+            .iter()
+            .map(|&l| logical[l].1)
+            .chain(build_keys.iter().copied())
+            .collect::<BTreeSet<usize>>()
+            .into_iter()
+            .collect();
+        for (k, &l) in appended.iter().enumerate() {
+            out_pos.insert(l, width + k);
+        }
+        width += appended.len();
+        joins.push(JoinLayout {
+            scan,
+            build_key_pos: build_keys.iter().map(|k| pos_in(&build_scan, k)).collect(),
+            probe_key_pos,
+            build_cols: appended
+                .iter()
+                .map(|&l| pos_in(&build_scan, &logical[l].1))
+                .collect(),
+            build_scan,
+        });
     }
-    let row_pos =
-        (used.len() == logical_width).then(|| (0..logical_width).map(|l| out_pos[&l]).collect());
 
+    let row_pos =
+        (used.len() == logical.len()).then(|| (0..logical.len()).map(|l| out_pos[&l]).collect());
     let filter = plan.filter.as_ref().map(|f| remap_cols(f, &out_pos));
-    let pred = match &filter {
-        Some(f) => Some(compile_pred(f, now_micros)?),
-        None => None,
-    };
+    let pred = filter.as_ref().and_then(|f| compile_pred(f, now_micros));
     let agg = shape.map(|(groups, args)| {
         (
             groups.iter().map(|c| out_pos[c]).collect(),
             args.iter().map(|a| a.map(|c| out_pos[&c])).collect(),
         )
     });
-    Some(Layout {
+    Layout {
+        probe,
         probe_cols,
-        probe_key_pos,
-        build_key_pos,
-        build_cols: build_cols.iter().map(|c| pos_in(&build_scan, c)).collect(),
-        build_scan,
+        joins,
         row_pos,
         filter,
         pred,
         agg,
-    })
+    }
 }
 
 impl Layout {
     /// Materialize one batch row in logical column order — the boundary
-    /// into the row engine's project/sort/accumulate tail. Only called on
+    /// into the shared project/sort/accumulate tail. Only called on
     /// full (unpruned) layouts.
     fn logical_row(&self, b: &ColumnarBatch, i: usize) -> Vec<Value> {
         let pos = self
@@ -979,8 +995,8 @@ impl Layout {
 
 /// Per-worker columnar aggregation state: group keys resolve to dense ids
 /// once per row, then each aggregate slot updates column-at-a-time through
-/// the typed [`Acc`] fast paths. Converts into the row engine's
-/// [`PartialAgg`] so merging and finishing are shared.
+/// the typed [`Acc`] fast paths. Converts into the shared [`PartialAgg`]
+/// so merging and finishing are shared.
 struct VecAgg<'a> {
     node: &'a AggregateNode,
     group_cols: &'a [usize],
@@ -1095,25 +1111,14 @@ impl<'a> VecAgg<'a> {
 // Drivers
 // ---------------------------------------------------------------------------
 
-/// Run the plan on the columnar path if its shape is covered; `None` sends
-/// the query to the row engine untouched.
-pub(crate) fn try_execute(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-) -> Option<SqResult<Vec<Vec<Value>>>> {
-    let lay = layout(plan, ctx.now_micros)?;
-    Some(if ctx.parallelism.is_parallel() {
+/// Run any plan on the columnar path.
+pub(crate) fn try_execute(plan: &PhysicalPlan, ctx: &ExecContext) -> SqResult<Vec<Vec<Value>>> {
+    let lay = layout(plan, ctx.now_micros);
+    if ctx.parallelism.is_parallel() {
         run_parallel(plan, ctx, &lay)
     } else {
         run_sequential(plan, ctx, &lay)
-    })
-}
-
-/// Right-scan columns surviving `right_drop`, in order.
-fn kept_right(plan: &PhysicalPlan, join: &JoinNode) -> Vec<usize> {
-    (0..plan.scans[1].width)
-        .filter(|i| !join.right_drop.contains(i))
-        .collect()
+    }
 }
 
 /// Close a scan node's span over `rows` rows and `slices` claimed slices,
@@ -1147,22 +1152,8 @@ fn slices_batches(slices: &TableSlices, cols: &[usize]) -> SqResult<Vec<Arc<Colu
     })
 }
 
-/// Materialize one scan as batches (restricted to the `cols` schema
-/// columns) under a sequential-style `scan` span.
-fn scan_batches(
-    scan: &ScanNode,
-    ctx: &ExecContext,
-    node: &str,
-    cols: &[usize],
-) -> SqResult<Vec<Arc<ColumnarBatch>>> {
-    let timer = start_node(ctx, "scan", node.to_string());
-    let batches = slices_batches(&scan.table.scan_partitions(&scan.hints, ctx)?, cols)?;
-    account_scan(ctx, timer, batches.iter().map(|b| b.len() as u64).sum(), 0);
-    Ok(batches)
-}
-
-/// Build — or fetch a memoized — join table over `scan`, holding the
-/// layout's build-scan columns and hashed by its build keys. The
+/// Build — or fetch a memoized — join table over the build scan of `jl`,
+/// holding its build-scan columns and hashed by its build keys. The
 /// sequential driver scans under one `scan` span; the parallel driver scans
 /// slices in parallel under per-unit `slice` spans, then indexes them in
 /// unit order, so both produce the same key → matches-in-scan-order table.
@@ -1170,16 +1161,17 @@ fn scan_batches(
 /// a hit replays the scan span and rows-scanned count the miss would have
 /// emitted, keeping `EXPLAIN ANALYZE` totals cache-independent.
 fn build_table(
-    scan: &ScanNode,
-    lay: &Layout,
+    plan: &PhysicalPlan,
+    jl: &JoinLayout,
     ctx: &ExecContext,
-    node: &str,
     parallel: bool,
 ) -> SqResult<Arc<JoinTable>> {
+    let scan = &plan.scans[jl.scan];
+    let node = format!("scan{}", jl.scan);
     let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
-    let mut cache_cols = lay.build_key_pos.clone();
+    let mut cache_cols = jl.build_key_pos.clone();
     cache_cols.push(usize::MAX);
-    cache_cols.extend(&lay.build_scan);
+    cache_cols.extend(&jl.build_scan);
     if let TableSlices::Sliced(sl) = &slices {
         let hit = sl.cache_get("join_table", u32::MAX, &cache_cols);
         if let Some(table) = hit.and_then(|h| h.downcast::<JoinTable>().ok()) {
@@ -1188,62 +1180,62 @@ fn build_table(
             } else {
                 ("scan", 0)
             };
-            account_scan(
-                ctx,
-                start_node(ctx, kind, node.to_string()),
-                table.rows(),
-                units,
-            );
+            account_scan(ctx, start_node(ctx, kind, node), table.rows(), units);
             return Ok(table);
         }
     }
     let batches = if parallel {
-        parallel_scan_batches(&slices, ctx, node, &lay.build_scan, |b, _| Ok(b.to_vec()))?.concat()
+        parallel_scan_batches(&slices, ctx, &node, &jl.build_scan, |b, _| Ok(b.to_vec()))?.concat()
     } else {
-        let timer = start_node(ctx, "scan", node.to_string());
-        let batches = slices_batches(&slices, &lay.build_scan)?;
+        let timer = start_node(ctx, "scan", node);
+        let batches = slices_batches(&slices, &jl.build_scan)?;
         account_scan(ctx, timer, batches.iter().map(|b| b.len() as u64).sum(), 0);
         batches
     };
-    let table = Arc::new(JoinTable::build(batches, &lay.build_key_pos));
+    let table = Arc::new(JoinTable::build(batches, &jl.build_key_pos));
     if let TableSlices::Sliced(sl) = &slices {
         sl.cache_put("join_table", u32::MAX, &cache_cols, table.clone());
     }
     Ok(table)
 }
 
-/// The sequential (DOP 1) vectorized driver: phase-at-a-time under the same
-/// span structure as the row engine's sequential path, so `EXPLAIN ANALYZE`
-/// and trace-shape assertions see identical node spans.
+/// The sequential (DOP 1) driver: phase-at-a-time under the same span
+/// structure as the row reference (`scan{i}`, `join{i}`, `filter`,
+/// `aggregate`, scans in scan order), so `EXPLAIN ANALYZE` and trace-shape
+/// assertions see identical node spans.
 fn run_sequential(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
     lay: &Layout,
 ) -> SqResult<Vec<Vec<Value>>> {
-    // --- scans + join -----------------------------------------------------
-    let batches;
-    if plan.joins.is_empty() {
-        batches = scan_batches(&plan.scans[0], ctx, "scan0", &lay.probe_cols)?;
+    // --- scans + joins ----------------------------------------------------
+    let scan_probe = || -> SqResult<Vec<Arc<ColumnarBatch>>> {
+        let scan = &plan.scans[lay.probe];
+        let timer = start_node(ctx, "scan", format!("scan{}", lay.probe));
+        let batches = slices_batches(
+            &scan.table.scan_partitions(&scan.hints, ctx)?,
+            &lay.probe_cols,
+        )?;
+        account_scan(ctx, timer, batches.iter().map(|b| b.len() as u64).sum(), 0);
+        Ok(batches)
+    };
+    // A flipped join builds over scan 0 before its probe side is scanned.
+    let mut pipeline = if lay.probe == 0 {
+        Some(scan_probe()?)
     } else {
-        let join = &plan.joins[0];
-        let (table, probe);
-        if join.build_left {
-            table = build_table(&plan.scans[0], lay, ctx, "scan0", false)?;
-            probe = scan_batches(&plan.scans[1], ctx, "scan1", &lay.probe_cols)?;
-        } else {
-            probe = scan_batches(&plan.scans[0], ctx, "scan0", &lay.probe_cols)?;
-            table = build_table(&plan.scans[1], lay, ctx, "scan1", false)?;
-        }
-        let timer = start_node(ctx, "join", "join0".into());
+        None
+    };
+    for (j, jl) in lay.joins.iter().enumerate() {
+        let table = build_table(plan, jl, ctx, false)?;
+        let probe = match pipeline.take() {
+            Some(batches) => batches,
+            None => scan_probe()?,
+        };
+        let timer = start_node(ctx, "join", format!("join{j}"));
         let mut out = Vec::with_capacity(probe.len());
         let mut rows = 0u64;
         for b in &probe {
-            let ob = probe_batch(
-                b.as_ref(),
-                table.as_ref(),
-                &lay.probe_key_pos,
-                &lay.build_cols,
-            );
+            let ob = probe_batch(b, &table, &jl.probe_key_pos, &jl.build_cols);
             rows += ob.len() as u64;
             if !ob.is_empty() {
                 out.push(Arc::new(ob));
@@ -1252,8 +1244,9 @@ fn run_sequential(
         if let Some(t) = timer {
             t.close(rows, 0);
         }
-        batches = out;
+        pipeline = Some(out);
     }
+    let batches = pipeline.expect("the probe side is scanned");
 
     // --- filter -----------------------------------------------------------
     let selections: Vec<Vec<u32>> = if plan.filter.is_some() {
@@ -1317,32 +1310,31 @@ fn run_sequential(
     Ok(finish_output(plan, ctx, projected))
 }
 
-/// Probe + filter one morsel unit's batches, feeding each surviving
-/// `(batch, selection)` to `f` and folding the row engine's per-unit trace
-/// counts (`join0`, `filter`).
+/// Probe one morsel unit's batches through every join table in chain
+/// order, filter them, feed each surviving `(batch, selection)` to `f`,
+/// and fold the per-unit trace counts (`join{i}`, `filter`).
 fn for_each_filtered(
     plan: &PhysicalPlan,
     lay: &Layout,
-    table: Option<&JoinTable>,
+    tables: &[Arc<JoinTable>],
     ctx: &ExecContext,
     batches: &[Arc<ColumnarBatch>],
     mut f: impl FnMut(&ColumnarBatch, &[u32]) -> SqResult<()>,
 ) -> SqResult<()> {
-    let mut join_rows = 0u64;
+    let mut join_rows = vec![0u64; tables.len()];
     let mut kept_rows = 0u64;
-    for b in batches {
-        let owned;
-        let cur: &ColumnarBatch = match table {
-            Some(t) => {
-                owned = probe_batch(b.as_ref(), t, &lay.probe_key_pos, &lay.build_cols);
-                join_rows += owned.len() as u64;
-                if owned.is_empty() {
-                    continue;
-                }
-                &owned
+    'batches: for b in batches {
+        let mut joined: Option<ColumnarBatch> = None;
+        for ((jl, table), n) in lay.joins.iter().zip(tables).zip(&mut join_rows) {
+            let cur = joined.as_ref().unwrap_or(b);
+            let next = probe_batch(cur, table, &jl.probe_key_pos, &jl.build_cols);
+            *n += next.len() as u64;
+            if next.is_empty() {
+                continue 'batches;
             }
-            None => b.as_ref(),
-        };
+            joined = Some(next);
+        }
+        let cur = joined.as_ref().unwrap_or(b);
         let sel = filter_selection(lay, cur, ctx)?;
         kept_rows += sel.len() as u64;
         if !sel.is_empty() {
@@ -1350,8 +1342,8 @@ fn for_each_filtered(
         }
     }
     if let Some(t) = &ctx.trace {
-        if table.is_some() {
-            t.add("join0", join_rows, 0, 0);
+        for (j, n) in join_rows.into_iter().enumerate() {
+            t.add(&format!("join{j}"), n, 0, 0);
         }
         if plan.filter.is_some() {
             t.add("filter", kept_rows, 0, 0);
@@ -1360,49 +1352,41 @@ fn for_each_filtered(
     Ok(())
 }
 
-/// The parallel vectorized driver: the same morsel/merge structure as the
-/// row engine's parallel path, with per-unit work running on batches.
+/// The parallel (morsel-driven) driver: every join table is built first
+/// under a `join_build` span, then workers claim probe-scan units and run
+/// probe → filter → partial aggregate or projection per unit; the
+/// coordinator merges in unit order.
 fn run_parallel(plan: &PhysicalPlan, ctx: &ExecContext, lay: &Layout) -> SqResult<Vec<Vec<Value>>> {
-    let flipped = plan.joins.len() == 1 && plan.joins[0].build_left;
-    let (base_scan, base_node) = if flipped {
-        (&plan.scans[1], "scan1")
-    } else {
-        (&plan.scans[0], "scan0")
-    };
+    // Every scan resolves its slices from the one query context, whose
+    // ssids were fixed at query start, so all workers read the same
+    // committed version(s).
+    let base_scan = &plan.scans[lay.probe];
+    let base_key = format!("scan{}", lay.probe);
     let base = base_scan.table.scan_partitions(&base_scan.hints, ctx)?;
-    let join_table: Option<Arc<JoinTable>> = match plan.joins.first() {
-        Some(_) => {
-            let (build_scan, build_node) = if flipped {
-                (&plan.scans[0], "scan0")
-            } else {
-                (&plan.scans[1], "scan1")
-            };
-            let timer = start_node(ctx, "join_build", "join0".into());
-            let table = build_table(build_scan, lay, ctx, build_node, true)?;
-            if let Some(t) = timer {
-                t.close(0, 0);
-            }
-            Some(table)
+    let mut tables = Vec::with_capacity(lay.joins.len());
+    for (j, jl) in lay.joins.iter().enumerate() {
+        let timer = start_node(ctx, "join_build", format!("join{j}"));
+        tables.push(build_table(plan, jl, ctx, true)?);
+        if let Some(t) = timer {
+            t.close(0, 0);
         }
-        None => None,
-    };
-    let join_table = join_table.as_deref();
+    }
 
     match &plan.aggregate {
         Some(node) => {
             let partials =
-                parallel_scan_batches(&base, ctx, base_node, &lay.probe_cols, |batches, _unit| {
+                parallel_scan_batches(&base, ctx, &base_key, &lay.probe_cols, |batches, _unit| {
                     let partial = match &lay.agg {
                         Some((group_cols, agg_args)) => {
                             let mut va = VecAgg::new(node, group_cols, agg_args);
-                            for_each_filtered(plan, lay, join_table, ctx, batches, |b, sel| {
+                            for_each_filtered(plan, lay, &tables, ctx, batches, |b, sel| {
                                 va.update(b, sel)
                             })?;
                             va.into_partial()
                         }
                         None => {
                             let mut partial = PartialAgg::new();
-                            for_each_filtered(plan, lay, join_table, ctx, batches, |b, sel| {
+                            for_each_filtered(plan, lay, &tables, ctx, batches, |b, sel| {
                                 let rows: Vec<Vec<Value>> = sel
                                     .iter()
                                     .map(|&i| lay.logical_row(b, i as usize))
@@ -1428,9 +1412,9 @@ fn run_parallel(plan: &PhysicalPlan, ctx: &ExecContext, lay: &Layout) -> SqResul
         }
         None => {
             let chunks =
-                parallel_scan_batches(&base, ctx, base_node, &lay.probe_cols, |batches, _unit| {
+                parallel_scan_batches(&base, ctx, &base_key, &lay.probe_cols, |batches, _unit| {
                     let mut rows = Vec::new();
-                    for_each_filtered(plan, lay, join_table, ctx, batches, |b, sel| {
+                    for_each_filtered(plan, lay, &tables, ctx, batches, |b, sel| {
                         for &i in sel {
                             rows.push(lay.logical_row(b, i as usize));
                         }
@@ -1492,25 +1476,34 @@ mod tests {
             vec![Value::Int(3), Value::str("pharma")],
             vec![Value::Int(9), Value::str("unmatched")],
         ];
+        // Keyed by zone or category name, with a repeated key so a probe
+        // row can match twice.
+        let tags = schema(vec![(KEY_COLUMN, DataType::Any), ("tag", DataType::Str)]);
+        let tags_rows = vec![
+            vec![Value::str("north"), Value::str("n")],
+            vec![Value::str("food"), Value::str("f1")],
+            vec![Value::str("south"), Value::str("s")],
+            vec![Value::str("food"), Value::str("f2")],
+            vec![Value::str("pharma"), Value::str("p")],
+        ];
         MemCatalog::new(vec![
             Arc::new(MemTable::new("orders", orders, orders_rows)),
             Arc::new(MemTable::new("info", info, info_rows)),
+            Arc::new(MemTable::new("tags", tags, tags_rows)),
         ])
     }
 
-    /// Row-engine vs columnar output for the same plan at several DOPs.
+    /// Row reference vs columnar output for the same plan at several DOPs.
     fn assert_vectorized_matches_rows(sql: &str) {
         let c = catalog();
         let p = plan(&parse(sql).unwrap(), &c).unwrap();
         let row_ctx = ExecContext::live_only(1_000_000).with_vectorized(false);
         let expected = crate::exec::execute(&p, &row_ctx).unwrap();
         for dop in [1usize, 2, 4, 8] {
-            let ctx = ExecContext::live_only(1_000_000)
-                .with_parallelism(Parallelism {
-                    degree: dop,
-                    min_morsel_rows: 1,
-                })
-                .with_vectorized(true);
+            let ctx = ExecContext::live_only(1_000_000).with_parallelism(Parallelism {
+                degree: dop,
+                min_morsel_rows: 1,
+            });
             let got = crate::exec::execute(&p, &ctx).unwrap();
             assert_eq!(got, expected, "dop {dop}: {sql}");
         }
@@ -1539,6 +1532,12 @@ mod tests {
             "SELECT COUNT(*) FROM orders WHERE zone = 'nowhere'",
             "SELECT zone, SUM(total) FROM orders GROUP BY zone HAVING SUM(total) > 25",
             "SELECT total FROM orders WHERE total IS NOT NULL ORDER BY total DESC LIMIT 2",
+            // Filters outside the kernel subset row-evaluate every batch.
+            "SELECT partitionKey, zone FROM orders WHERE LENGTH(zone) > 4",
+            "SELECT partitionKey FROM orders WHERE total + 1 > 10",
+            // ... also over the pruned layout of a covered aggregate.
+            "SELECT zone, COUNT(*), SUM(total) FROM orders \
+             WHERE total * 2 > 25 AND LENGTH(zone) > 4 GROUP BY zone",
         ] {
             assert_vectorized_matches_rows(sql);
         }
@@ -1551,10 +1550,42 @@ mod tests {
             "SELECT category, COUNT(*) FROM orders JOIN info USING(partitionKey) \
              WHERE zone = 'north' GROUP BY category",
             "SELECT o.zone FROM orders o JOIN orders p ON o.total = p.total",
+            CHAIN,
+            // Pruned aggregate layouts, where a later join's probe key sits
+            // at a batch position other than its logical index: a build
+            // column of the first join, then a probe-scan column.
+            "SELECT tag, COUNT(*), SUM(total) FROM orders JOIN info USING(partitionKey) \
+             JOIN tags t ON category = t.partitionKey WHERE total > 5 GROUP BY tag",
+            "SELECT tag, COUNT(*) FROM orders JOIN info USING(partitionKey) \
+             JOIN tags t ON zone = t.partitionKey GROUP BY tag",
         ] {
             assert_vectorized_matches_rows(sql);
         }
+        // EXPLAIN ANALYZE counts every join of a chain, sequential or
+        // morsel-driven.
+        let engine = crate::engine::SqlEngine::new(catalog());
+        for dop in [1usize, 2] {
+            let rs = engine
+                .query_with_dop(&format!("EXPLAIN ANALYZE {CHAIN}"), dop)
+                .unwrap();
+            let joins: Vec<String> = rs
+                .rows()
+                .iter()
+                .map(|r| r[0].to_string())
+                .filter(|l| l.contains("HashJoin"))
+                .collect();
+            // join1 renders first (outermost): 2 + 2 + 1 tag matches over
+            // join0's three orders with info.
+            assert_eq!(joins.len(), 2, "dop {dop}: {joins:?}");
+            assert!(joins[0].contains("(rows=5 "), "dop {dop}: {joins:?}");
+            assert!(joins[1].contains("(rows=3 "), "dop {dop}: {joins:?}");
+        }
     }
+
+    /// A three-table chain whose second join probes with a build column of
+    /// the first (two `food` orders match two tags each).
+    const CHAIN: &str = "SELECT o.partitionKey, total, category, tag FROM orders o \
+        JOIN info i ON o.partitionKey = i.partitionKey JOIN tags t ON i.category = t.partitionKey";
 
     #[test]
     fn mixed_type_batches_fall_back_per_batch() {
@@ -1639,7 +1670,8 @@ mod tests {
         )
         .unwrap();
         assert!(compile_pred(p.filter.as_ref().unwrap(), 0).is_some());
-        // Scalar functions stay on the row engine.
+        // Scalar functions are outside the kernel subset: their batches
+        // row-evaluate the filter.
         let p = plan(
             &parse("SELECT zone FROM orders WHERE LENGTH(zone) > 4").unwrap(),
             &c,
@@ -1651,7 +1683,7 @@ mod tests {
     #[test]
     fn cost_model_flip_matches_row_engine_order() {
         // Force build_left on a hand-built plan and check the columnar
-        // output matches the row engine's (both become probe-major).
+        // output matches the row reference's (both become probe-major).
         let c = catalog();
         let mut p = plan(
             &parse(
@@ -1672,9 +1704,6 @@ mod tests {
             });
             let got = crate::exec::execute(&p, &ctx).unwrap();
             assert_eq!(got, expected, "dop {dop}");
-            // The row engine parallel path must agree too.
-            let got_rows = crate::exec::execute(&p, &ctx.with_vectorized(false)).unwrap();
-            assert_eq!(got_rows, expected, "row engine dop {dop}");
         }
     }
 }

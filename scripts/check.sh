@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, static analysis, the full test suite,
 # the chaos soak, the trace-export smoke, the state-statistics smoke, the
-# SQL benchmark-regression gate, the WAL kill-restart durability soak, the
-# watermark/freshness smoke, the ThreadSanitizer pass, and the end-to-end
-# benchmark's own self-tests.
+# end-to-end benchmark's correctness run, the WAL kill-restart durability
+# soak, the watermark/freshness smoke, the ThreadSanitizer pass, and the
+# end-to-end benchmark's own self-tests.
 # Usage: scripts/check.sh [--fix] [--list] [--only STEP]
 #   --fix         apply rustfmt instead of only checking
 #   --list        print the runnable step names, one per line, and exit
@@ -136,18 +136,19 @@ run_stats() {
 }
 
 run_bench() {
-    # SQL benchmark-regression gate: Q1-Q4 + NEXMark q6 at DOP 4 on both
-    # engines, compared against the committed BENCH_sql.json baseline. The
-    # gate is row-engine-normalized: each query's columnar-vs-row speedup
-    # (both engines timed interleaved on this host) must stay within 15% of
-    # its baseline speedup, so machine speed cancels out. Writes the fresh
-    # report to $BENCH_JSON (default: overwrite the baseline path so an
-    # intentional perf change is a one-line `git add`).
-    local out="${BENCH_JSON:-BENCH_sql.json}"
-    echo "==> bench gate (Q1-Q4 + NEXMark q6, dop 4, row vs columnar, -> $out)" &&
-        cargo run --release -q -p squery-bench --bin bench-gate -- \
-            --check --baseline BENCH_sql.json --out "$out" \
-            ${BENCH_SUMMARY:+--summary "$BENCH_SUMMARY"}
+    # End-to-end correctness gate: the BENCHMARK.json command (perfbench/,
+    # the real q-commerce job) once per workload at a fixed seed. perfbench
+    # exits non-zero on any oracle mismatch (row counts, Q1-Q4 at DOP 1 and
+    # 2) or failed operation. There is no timing threshold: performance
+    # regressions are judged by paired parent/change runs of the same
+    # command, not by one run against a committed figure.
+    local w
+    for w in query mixed; do
+        echo "==> bench: perfbench --workload $w --seed 1 --seconds 30 --trace 0" &&
+            cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+                --workload "$w" --seed 1 --seconds 30 --trace 0 ||
+            return $?
+    done
 }
 
 run_durability() {

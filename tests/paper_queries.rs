@@ -220,7 +220,7 @@ fn explain_analyze_scan_accounting_survives_cache_hits() {
         let mut runs = Vec::new();
         for _ in 0..2 {
             let before = scanned();
-            let rs = system.query_with_opts(&sql, dop, true).unwrap();
+            let rs = system.query_with_dop(&sql, dop).unwrap();
             runs.push((scan_accounting(&rs), scanned() - before));
         }
         let (cold, warm) = (&runs[0], &runs[1]);

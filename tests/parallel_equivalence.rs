@@ -70,6 +70,10 @@ fn paper_queries_are_dop_invariant() {
             QUERY_4,
             // Live-table scan with a join back onto snapshot state.
             "SELECT COUNT(*) AS n FROM orderinfo JOIN snapshot_orderstate USING(partitionKey)",
+            // A three-table chain over snapshot and live state.
+            "SELECT o.deliveryZone, COUNT(*) AS n FROM snapshot_orderinfo \
+             JOIN snapshot_orderstate USING(partitionKey) JOIN orderinfo o USING(partitionKey) \
+             GROUP BY o.deliveryZone",
             // Multi-version scan: every retained ssid materialized.
             "SELECT ssid, COUNT(*) FROM snapshot_orderinfo WHERE ssid >= 0 GROUP BY ssid",
             // Non-aggregate ORDER BY + LIMIT over a parallel scan.

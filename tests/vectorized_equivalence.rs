@@ -1,9 +1,9 @@
-//! Property: vectorized execution is invisible in results. For every query
-//! and every degree of parallelism, the columnar engine returns
-//! **row-for-row identical** output (same rows, same order) to the row
-//! engine — including over sys tables, over pinned snapshots while
-//! checkpoints commit concurrently, and when kernels only cover part of the
-//! work and fall back to row evaluation mid-plan.
+//! Property: the columnar executor is invisible in results. For every
+//! query and every degree of parallelism, it returns **row-for-row
+//! identical** output (same rows, same order) to the sequential row
+//! reference — including over sys tables, join chains, over pinned
+//! snapshots while checkpoints commit concurrently, and when kernels only
+//! cover part of the work and batches row-evaluate the filter.
 
 mod common;
 
@@ -34,26 +34,28 @@ fn rows_equivalent(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
         })
 }
 
-/// For each query: row engine at DOP 1 is the baseline; the columnar engine
-/// must match it at every DOP, and so must the row engine (guarding against
-/// the baseline itself drifting).
+/// For each query: the row reference is the baseline; the columnar
+/// executor must match it at every DOP.
 fn assert_vectorized_equivalence(system: &SQuery, queries: &[&str]) {
     for sql in queries {
-        let baseline = system.query_with_opts(sql, 1, false).expect(sql);
+        let baseline = system.query_reference(sql).expect(sql);
         for dop in DOPS {
-            for vectorized in [true, false] {
-                let got = system.query_with_opts(sql, dop, vectorized).expect(sql);
-                assert!(
-                    rows_equivalent(got.rows(), baseline.rows()),
-                    "dop {dop} vectorized={vectorized} differs from row baseline for: {sql}\n \
-                     got: {:?}\n baseline: {:?}",
-                    got.rows(),
-                    baseline.rows()
-                );
-            }
+            let got = system.query_with_dop(sql, dop).expect(sql);
+            assert!(
+                rows_equivalent(got.rows(), baseline.rows()),
+                "dop {dop} differs from the row reference for: {sql}\n \
+                 got: {:?}\n baseline: {:?}",
+                got.rows(),
+                baseline.rows()
+            );
         }
     }
 }
+
+/// Two snapshot tables and the live order table, chained on the order key.
+const CHAIN: &str = "SELECT o.deliveryZone, COUNT(*) AS n FROM snapshot_orderinfo \
+     JOIN snapshot_orderstate USING(partitionKey) JOIN orderinfo o USING(partitionKey) \
+     GROUP BY o.deliveryZone";
 
 #[test]
 fn paper_queries_match_row_engine_at_every_dop() {
@@ -79,6 +81,8 @@ fn paper_queries_match_row_engine_at_every_dop() {
             QUERY_4,
             // Live-table scan joined back onto snapshot state.
             "SELECT COUNT(*) AS n FROM orderinfo JOIN snapshot_orderstate USING(partitionKey)",
+            // A three-table chain over snapshot and live state.
+            CHAIN,
             // Multi-version scan: every retained ssid materialized.
             "SELECT ssid, COUNT(*) FROM snapshot_orderinfo WHERE ssid >= 0 GROUP BY ssid",
             // Non-aggregate ORDER BY + LIMIT over a parallel batched scan.
@@ -119,10 +123,10 @@ fn q6_and_sys_table_queries_match_row_engine() {
 }
 
 /// Plans the kernels cover only partially must still agree with the row
-/// engine: filters outside the compilable subset (scalar functions,
-/// arithmetic) force a whole-query row fallback, and mixed-type columns
-/// degrade single batches to boxed values with per-batch row evaluation —
-/// all under the same cost-model join planning.
+/// reference: filters outside the compilable subset (scalar functions,
+/// arithmetic) row-evaluate every batch, and mixed-type columns degrade
+/// single batches to boxed values with per-batch row evaluation — all
+/// under the same cost-model join planning.
 #[test]
 fn forced_fallback_and_mixed_batches_match_row_engine() {
     let config = SQueryConfig::default().with_state(StateConfig::live_and_snapshot());
@@ -152,7 +156,8 @@ fn forced_fallback_and_mixed_batches_match_row_engine() {
             // Mixed-type batches: kernel refuses, per-batch row fallback.
             "SELECT partitionKey FROM mixed WHERE this IN (0, 3.5, '' ) ORDER BY partitionKey",
             "SELECT COUNT(*) FROM mixed WHERE this IS NOT NULL",
-            // Arithmetic in the filter: not compilable, whole-query fallback.
+            // Arithmetic in the filter: not compilable, every batch
+            // row-evaluates it.
             "SELECT partitionKey FROM sizes WHERE this + 1 > 10 ORDER BY partitionKey",
             // Kernel filter over the probe output of a cost-model-planned
             // join (40-row build side under a 300-row probe side).
@@ -162,20 +167,17 @@ fn forced_fallback_and_mixed_batches_match_row_engine() {
     );
 
     // The same mixed-vs-typed disagreement must also *error* identically:
-    // ordering a string against an int fails on both engines.
+    // ordering a string against an int fails on both executors.
     let sql = "SELECT partitionKey FROM mixed WHERE this > 5";
+    assert!(system.query_reference(sql).is_err());
     for dop in DOPS {
-        assert!(system.query_with_opts(sql, dop, true).is_err(), "dop {dop}");
-        assert!(
-            system.query_with_opts(sql, dop, false).is_err(),
-            "dop {dop}"
-        );
+        assert!(system.query_with_dop(sql, dop).is_err(), "dop {dop}");
     }
 }
 
-/// Pinned-ssid scans stay equivalent across engines while later checkpoints
-/// commit concurrently: every worker of either engine reads the pinned
-/// version.
+/// Pinned-ssid scans stay equivalent across executors while later
+/// checkpoints commit concurrently: the reference and every columnar worker
+/// read the pinned version.
 #[test]
 fn pinned_snapshot_queries_match_row_engine_under_checkpoints() {
     let (system, job, allowance) = common::gated_counter_system_with(
@@ -192,7 +194,7 @@ fn pinned_snapshot_queries_match_row_engine_under_checkpoints() {
         "SELECT partitionKey, this FROM snapshot_count WHERE ssid = {} ORDER BY partitionKey",
         pinned.0
     );
-    let baseline = system.query_with_opts(&sql, 1, false).unwrap();
+    let baseline = system.query_reference(&sql).unwrap();
     assert_eq!(baseline.len(), 64);
 
     // Six more checkpoints commit while the comparison loop runs; with
@@ -201,7 +203,7 @@ fn pinned_snapshot_queries_match_row_engine_under_checkpoints() {
         let querier = scope.spawn(|| {
             for round in 0..40 {
                 for dop in DOPS {
-                    let vectorized = system.query_with_opts(&sql, dop, true).unwrap();
+                    let vectorized = system.query_with_dop(&sql, dop).unwrap();
                     assert_eq!(
                         vectorized.rows(),
                         baseline.rows(),
