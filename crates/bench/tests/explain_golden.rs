@@ -121,13 +121,21 @@ fn explain_analyze_of_q1_to_q4_is_consistent_with_sys_spans() {
             "scans saw the snapshot: {plan}"
         );
     }
-    // Each ANALYZE forced one root query span; the plan operators hang off
-    // those roots and fit inside them on the timeline.
+    // Each ANALYZE forced one root query span; the morsel driver's spans
+    // (per-unit scan slices, hash builds, the aggregate merge) hang off
+    // those roots and fit inside them on the timeline. Probe and filter
+    // work folds into its nodes without spans of its own.
     let roots = system
         .query("SELECT id, duration_us FROM sys_spans WHERE kind = 'query'")
         .unwrap();
     assert_eq!(roots.rows().len(), 4, "one forced root per ANALYZE");
-    for kind in ["scan", "join", "filter", "aggregate"] {
+    for kind in ["scan", "join", "filter"] {
+        let spans = system
+            .query(&format!("SELECT id FROM sys_spans WHERE kind = '{kind}'"))
+            .unwrap();
+        assert!(spans.is_empty(), "a {kind} span outside the morsel driver");
+    }
+    for kind in ["slice", "join_build", "aggregate"] {
         let children = system
             .query(&format!(
                 "SELECT parent, duration_us FROM sys_spans WHERE kind = '{kind}'"

@@ -80,20 +80,23 @@ pub const DEFAULT_MIN_MORSEL_ROWS: usize = 256;
 
 /// Degree of parallelism for query execution.
 ///
-/// `degree = 1` is today's sequential executor, bit-for-bit. Higher degrees
-/// run partition-parallel scans, join builds, and partial aggregation on
-/// scoped worker threads; results are merged deterministically so every
-/// degree returns row-for-row identical output (see DESIGN.md §5).
+/// Every degree runs the same morsel loop over partition slices — probe,
+/// filter and partial aggregation per slice — on the caller's thread plus
+/// `degree - 1` scoped helpers (`crate::morsel`); results are merged
+/// deterministically so every degree returns row-for-row identical output
+/// (see DESIGN.md §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Worker threads per query (1 = sequential execution).
+    /// Workers per query, the caller's thread included (1 = the caller
+    /// alone runs every morsel).
     pub degree: usize,
     /// Smallest row chunk claimed per worker for unsliceable scans.
     pub min_morsel_rows: usize,
 }
 
 impl Parallelism {
-    /// Sequential execution — the default, preserving existing behavior.
+    /// One worker — the default: the morsel loop runs on the caller's
+    /// thread and spawns none.
     pub fn sequential() -> Parallelism {
         Parallelism {
             degree: 1,
@@ -118,7 +121,7 @@ impl Parallelism {
         )
     }
 
-    /// Whether this configuration actually spawns workers.
+    /// Whether this configuration spawns helper workers.
     pub fn is_parallel(&self) -> bool {
         self.degree > 1
     }

@@ -37,6 +37,10 @@
 //!   held [`lockorder::LockClass`]es that panics (and records a violation) on
 //!   any acquisition contradicting the canonical order `squery-lint` proves
 //!   statically. Off by default; `SQUERY_LOCK_ORDER=1` arms it.
+//! * [`morsel`] — the one worker pool: [`morsel::claim_units`] runs numbered
+//!   work units on the caller's thread plus `dop - 1` scoped helpers and
+//!   returns results in unit order; the SQL executor and the direct object
+//!   interface both fan out through it.
 //! * [`names`] — the registry of every metric, span, and event name the
 //!   engine may emit; `squery-lint` SQ003 keeps call sites honest against it.
 //! * [`error`] — the shared error type.
@@ -48,6 +52,7 @@ pub mod fault;
 pub mod ids;
 pub mod lockorder;
 pub mod metrics;
+pub mod morsel;
 pub mod names;
 pub mod partition;
 pub mod schema;

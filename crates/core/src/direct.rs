@@ -4,13 +4,15 @@
 //! through SQL — the interface the paper benchmarks against TSpoon in
 //! Figure 14. Live reads go straight to the operator's grid map (each access
 //! under its key lock); snapshot reads resolve a committed snapshot id at
-//! the registry and read the immutable version data.
+//! the registry and read the immutable version data. A multi-key read on a
+//! handle with a degree above 1 fans its partition groups out over the
+//! system's one worker pool (`squery_common::morsel`); at degree 1 it reads
+//! the keys in a plain loop on the caller's thread.
 
-use parking_lot::Mutex;
 use squery_common::config::Parallelism;
+use squery_common::morsel::claim_units;
 use squery_common::{SnapshotId, SqError, SqResult, Value};
 use squery_storage::Grid;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Which state a direct read observes.
@@ -40,8 +42,8 @@ impl DirectQuery {
         }
     }
 
-    /// The same handle with multi-key reads fanning out over worker threads,
-    /// one claimable unit per grid partition.
+    /// The same handle with multi-key reads fanning out over the worker
+    /// pool, one claimable unit per grid partition.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> DirectQuery {
         self.parallelism = parallelism;
         self
@@ -79,8 +81,9 @@ impl DirectQuery {
     /// is resolved once, so all keys come from the same version.
     ///
     /// With a parallel handle ([`DirectQuery::with_parallelism`]) the keys
-    /// are grouped by grid partition and workers claim one partition group
-    /// at a time; results come back in input order either way.
+    /// are grouped by grid partition and the worker pool claims one
+    /// partition group at a time; results come back in input order either
+    /// way.
     pub fn get_many(
         &self,
         operator: &str,
@@ -114,8 +117,8 @@ impl DirectQuery {
     }
 
     /// Partition-grouped fan-out for multi-key reads: group key indices by
-    /// grid partition, let workers claim whole groups from an atomic cursor,
-    /// and scatter the values back into input order.
+    /// grid partition, let the worker pool claim whole groups, and scatter
+    /// the values back into input order.
     fn get_many_parallel(
         &self,
         keys: &[Value],
@@ -127,46 +130,19 @@ impl DirectQuery {
             by_partition[partitioner.partition_of(key).0 as usize].push(i);
         }
         let groups: Vec<Vec<usize>> = by_partition.into_iter().filter(|g| !g.is_empty()).collect();
-        let cursor = AtomicUsize::new(0);
-        let first_error: Mutex<Option<SqError>> = Mutex::new(None);
-        let results: Mutex<Vec<Option<Option<Value>>>> = Mutex::new(vec![None; keys.len()]);
-        let workers = self.parallelism.degree.min(groups.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let g = cursor.fetch_add(1, Ordering::Relaxed);
-                    if g >= groups.len() || first_error.lock().is_some() {
-                        return;
-                    }
-                    let mut local = Vec::with_capacity(groups[g].len());
-                    for &i in &groups[g] {
-                        match read(&keys[i]) {
-                            Ok(v) => local.push((i, v)),
-                            Err(e) => {
-                                let mut guard = first_error.lock();
-                                if guard.is_none() {
-                                    *guard = Some(e);
-                                }
-                                return;
-                            }
-                        }
-                    }
-                    let mut out = results.lock();
-                    for (i, v) in local {
-                        out[i] = Some(v);
-                    }
-                });
+        let values = claim_units(groups.len(), self.parallelism.degree, |g| {
+            groups[g]
+                .iter()
+                .map(|&i| read(&keys[i]))
+                .collect::<SqResult<Vec<_>>>()
+        })?;
+        let mut out = vec![None; keys.len()];
+        for (group, group_values) in groups.iter().zip(values) {
+            for (&i, v) in group.iter().zip(group_values) {
+                out[i] = v;
             }
-        });
-        if let Some(e) = first_error.into_inner() {
-            return Err(e);
         }
-        Ok(results
-            .into_inner()
-            .into_iter()
-            .zip(keys.iter())
-            .map(|(v, k)| (k.clone(), v.expect("every key read")))
-            .collect())
+        Ok(keys.iter().cloned().zip(out).collect())
     }
 
     /// Read an operator's complete state (the "total state" retrieval of the

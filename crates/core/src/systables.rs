@@ -894,16 +894,19 @@ mod tests {
                 .any(|r| r[0].to_string().contains("rows=2")),
             "{rs}"
         );
-        // The forced profile landed in sys_spans: one query root, its scan
-        // child nested under it.
+        // The forced profile landed in sys_spans: one query root, the scan's
+        // per-unit slice children nested under it.
         let root = system
             .query("SELECT id FROM sys_spans WHERE kind = 'query'")
             .unwrap();
         let root_id = root.rows()[0][0].clone();
-        let child = system
-            .query("SELECT parent, duration_us FROM sys_spans WHERE kind = 'scan'")
+        let children = system
+            .query("SELECT parent, duration_us FROM sys_spans WHERE kind = 'slice'")
             .unwrap();
-        assert_eq!(child.rows()[0][0], root_id);
+        assert!(!children.is_empty());
+        for child in children.rows() {
+            assert_eq!(child[0], root_id);
+        }
     }
 
     #[test]

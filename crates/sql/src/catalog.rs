@@ -1,5 +1,6 @@
 //! Catalog abstractions: tables, scan hints, execution context.
 
+use crate::batch::ColumnarBatch;
 use parking_lot::Mutex;
 use squery_common::config::Parallelism;
 use squery_common::metrics::SharedHistogram;
@@ -64,10 +65,11 @@ pub struct ExecContext {
     /// Telemetry counter bumped with every row a scan materializes
     /// (`None` when the engine runs without a metrics registry).
     pub rows_scanned: Option<Counter>,
-    /// Degree of parallelism for this query (1 = sequential execution).
+    /// Degree of parallelism for this query (1 = the caller's thread alone
+    /// runs the morsel loop).
     pub parallelism: Parallelism,
     /// Per-worker slice-scan latency histogram (`sql_worker_scan_us`),
-    /// recorded once per claimed slice by parallel workers.
+    /// recorded once per claimed slice.
     pub worker_scan_us: Option<SharedHistogram>,
     /// Span/per-node-statistics sink, present when the query is traced
     /// (collector enabled) or profiled (`EXPLAIN ANALYZE`).
@@ -112,10 +114,11 @@ impl ExecContext {
 pub struct NodeStat {
     /// Rows the node produced (scans: rows materialized).
     pub rows: u64,
-    /// Wall time spent in the node, summed over its spans (parallel nodes
-    /// sum per-slice work, so this can exceed elapsed query time).
+    /// Wall time spent in the node, summed over its spans and per-unit
+    /// stage times (at DOP > 1 per-slice work of concurrent workers adds
+    /// up, so this can exceed elapsed query time).
     pub wall_us: u64,
-    /// Parallel slices claimed (0 for purely sequential nodes).
+    /// Scan slices claimed (0 for other nodes and the row reference).
     pub slices: u64,
 }
 
@@ -130,7 +133,7 @@ struct ExecTraceInner {
 /// spans under the query's root span and fold per-node statistics
 /// (`EXPLAIN ANALYZE`'s row counts, slices, and wall time).
 ///
-/// Cloneable and thread-safe: parallel workers record concurrently.
+/// Cloneable and thread-safe: morsel workers record concurrently.
 #[derive(Clone)]
 pub struct ExecTrace {
     inner: Arc<ExecTraceInner>,
@@ -200,52 +203,26 @@ impl ExecTrace {
     }
 }
 
-/// The partition-sliced form of a table scan.
-///
-/// Partitioned tables return [`TableSlices::Sliced`] so parallel workers can
-/// claim independent slices; tables without exploitable structure (sys
-/// tables, point reads, test tables) return everything at once. Sequential
-/// execution treats both uniformly by concatenating slices in slice order —
-/// which is exactly what the parallel merge reproduces, so the two paths
-/// return row-for-row identical output by construction.
-pub enum TableSlices {
-    /// All rows materialized in one piece.
-    Whole(Vec<Vec<Value>>),
-    /// Independently scannable slices (usually one per grid partition).
-    Sliced(Arc<dyn ScanSlices>),
-}
-
-/// A set of independently scannable slices of one table scan.
+/// The sliced form of a table scan: independently scannable slices whose
+/// concatenation, in slice order, is the table's canonical row order.
+/// Partitioned tables expose one slice per grid partition; every other scan
+/// (sys tables, point reads, test tables) wraps its materialized rows in
+/// morsel-sized row chunks. The morsel driver claims slices as units.
 ///
 /// Implementations must be safe to call from several threads at once and
 /// must resolve *all* per-query state (notably snapshot ids) before
 /// construction, so every worker reads the same pinned snapshot.
 pub trait ScanSlices: Send + Sync {
-    /// Number of slices. Slice order is the table's canonical row order:
-    /// concatenating `scan_slice(0..slice_count())` equals a sequential scan.
+    /// Number of slices.
     fn slice_count(&self) -> u32;
-
-    /// Materialize one slice's rows.
-    fn scan_slice(&self, slice: u32) -> SqResult<Vec<Vec<Value>>>;
 
     /// Materialize one slice as columnar batches (the vectorized scan
     /// boundary), restricted to the given schema columns. `cols` is a
     /// strictly ascending subset of the table's column indices; batch
-    /// column `j` holds schema column `cols[j]`. Concatenating the batches
-    /// row-wise must equal [`ScanSlices::scan_slice`] projected to `cols`.
-    /// The default converts the row scan; partitioned tables override it to
-    /// build typed columns directly from storage without materializing the
-    /// pruned cells at all.
-    fn scan_slice_batches(
-        &self,
-        slice: u32,
-        cols: &[usize],
-    ) -> SqResult<Vec<crate::batch::ColumnarBatch>> {
-        Ok(crate::batch::ColumnarBatch::from_rows_chunked_cols(
-            &self.scan_slice(slice)?,
-            cols,
-        ))
-    }
+    /// column `j` holds schema column `cols[j]`. Concatenating the batch
+    /// rows of every slice, in slice order, equals [`Table::scan`]
+    /// projected to `cols`.
+    fn scan_slice_batches(&self, slice: u32, cols: &[usize]) -> SqResult<Vec<ColumnarBatch>>;
 
     /// Look up a memoized executor structure for `(kind, slice, cols)`.
     ///
@@ -285,19 +262,49 @@ pub(crate) fn slice_batches_cached(
     sl: &dyn ScanSlices,
     slice: u32,
     cols: &[usize],
-) -> SqResult<Vec<Arc<crate::batch::ColumnarBatch>>> {
+) -> SqResult<Vec<Arc<ColumnarBatch>>> {
     if let Some(hit) = sl.cache_get("batches", slice, cols) {
-        if let Ok(batches) = hit.downcast::<Vec<Arc<crate::batch::ColumnarBatch>>>() {
+        if let Ok(batches) = hit.downcast::<Vec<Arc<ColumnarBatch>>>() {
             return Ok((*batches).clone());
         }
     }
-    let batches: Vec<Arc<crate::batch::ColumnarBatch>> = sl
+    let batches: Vec<Arc<ColumnarBatch>> = sl
         .scan_slice_batches(slice, cols)?
         .into_iter()
         .map(Arc::new)
         .collect();
     sl.cache_put("batches", slice, cols, Arc::new(batches.clone()));
     Ok(batches)
+}
+
+/// Materialized rows as a slice source: chunks of at least
+/// `min_morsel_rows` rows, sized so `degree` workers get about four each.
+pub fn row_chunks(rows: Vec<Vec<Value>>, parallelism: &Parallelism) -> Arc<dyn ScanSlices> {
+    let chunk = parallelism
+        .min_morsel_rows
+        .max(rows.len().div_ceil(parallelism.degree * 4))
+        .max(1);
+    Arc::new(RowChunks { rows, chunk })
+}
+
+struct RowChunks {
+    rows: Vec<Vec<Value>>,
+    chunk: usize,
+}
+
+impl ScanSlices for RowChunks {
+    fn slice_count(&self) -> u32 {
+        self.rows.len().div_ceil(self.chunk) as u32
+    }
+
+    fn scan_slice_batches(&self, slice: u32, cols: &[usize]) -> SqResult<Vec<ColumnarBatch>> {
+        let start = slice as usize * self.chunk;
+        let end = (start + self.chunk).min(self.rows.len());
+        Ok(ColumnarBatch::from_rows_chunked_cols(
+            &self.rows[start..end],
+            cols,
+        ))
+    }
 }
 
 /// A queryable table.
@@ -312,12 +319,17 @@ pub trait Table: Send + Sync {
     /// [`Table::schema`].
     fn scan(&self, hints: &ScanHints, ctx: &ExecContext) -> SqResult<Vec<Vec<Value>>>;
 
-    /// Partition-aware scan entry point for parallel execution.
+    /// The scan as claimable slices, the executor's only scan entry point.
     ///
-    /// The default materializes the whole scan as one slice; partitioned
-    /// tables override it to expose per-partition slices.
-    fn scan_partitions(&self, hints: &ScanHints, ctx: &ExecContext) -> SqResult<TableSlices> {
-        Ok(TableSlices::Whole(self.scan(hints, ctx)?))
+    /// The default materializes [`Table::scan`] and cuts it into row chunks
+    /// ([`row_chunks`]); partitioned tables override it to expose
+    /// per-partition slices.
+    fn scan_partitions(
+        &self,
+        hints: &ScanHints,
+        ctx: &ExecContext,
+    ) -> SqResult<Arc<dyn ScanSlices>> {
+        Ok(row_chunks(self.scan(hints, ctx)?, &ctx.parallelism))
     }
 
     /// Estimated row count this scan would materialize, from whatever

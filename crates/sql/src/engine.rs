@@ -288,8 +288,9 @@ impl<C: Catalog> SqlEngine<C> {
     }
 
     /// Run one `SELECT` with an explicit degree of parallelism, overriding
-    /// the engine default for this query only. `dop == 1` is sequential
-    /// execution; the morsel size is inherited from the engine default.
+    /// the engine default for this query only. `dop == 1` runs every morsel
+    /// on the calling thread; the morsel size is inherited from the engine
+    /// default.
     pub fn query_with_dop(&self, sql: &str, dop: usize) -> SqResult<ResultSet> {
         self.query_at(
             sql,
@@ -521,7 +522,7 @@ fn plan_result(lines: Vec<String>) -> ResultSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{MemCatalog, MemTable};
+    use crate::catalog::{MemCatalog, MemTable, Table};
     use squery_common::schema::schema;
     use squery_common::DataType;
 
@@ -699,20 +700,97 @@ mod tests {
         let filter = lines.iter().find(|l| l.contains("Filter")).unwrap();
         assert!(filter.contains("rows=1"), "{filter}");
 
-        // Forced spans landed in the shared (disabled) collector, and the
-        // reported wall time is exactly the scan span's duration.
+        // Forced spans landed in the shared (disabled) collector: one
+        // `slice` span per claimed unit of scan0, each under the query root,
+        // and the reported wall time is exactly the sum of their durations.
         let spans = registry.spans().snapshot();
         let root = spans.iter().find(|s| s.kind == "query").unwrap();
-        let scan_span = spans
+        let slices: Vec<_> = spans
             .iter()
-            .find(|s| s.kind == "scan" && s.label("node") == Some("scan0"))
-            .unwrap();
-        assert_eq!(scan_span.parent, Some(root.id));
+            .filter(|s| s.kind == "slice" && s.label("node") == Some("scan0"))
+            .collect();
+        assert!(!slices.is_empty());
+        assert!(slices.iter().all(|s| s.parent == Some(root.id)));
+        let wall: u64 = slices.iter().map(|s| s.duration_us()).sum();
         assert!(
-            scan.contains(&format!("wall={}us", scan_span.duration_us())),
-            "{scan} vs span {}us",
-            scan_span.duration_us()
+            scan.contains(&format!("wall={wall}us slices={})", slices.len())),
+            "{scan} vs {} slice spans summing to {wall}us",
+            slices.len()
         );
+    }
+
+    /// EXPLAIN ANALYZE of a join + filter + GROUP BY over 60k in-memory
+    /// rows: the probe, filter and aggregate work of every unit lands on
+    /// its own node, not on the scan, and at DOP 1 — where every node's
+    /// work runs on the caller's thread, one after another — the node walls
+    /// add up to no more than the query's root span.
+    #[test]
+    fn explain_analyze_attributes_unit_work_to_its_nodes() {
+        use squery_common::telemetry::MetricsRegistry;
+        const N: i64 = 60_000;
+        let orders = schema(vec![
+            ("partitionKey", DataType::Int),
+            ("total", DataType::Int),
+            ("zone", DataType::Str),
+        ]);
+        let info = schema(vec![
+            ("partitionKey", DataType::Int),
+            ("category", DataType::Str),
+        ]);
+        let zones = ["north", "south", "east"];
+        let orders_rows = (0..N)
+            .map(|i| {
+                let zone = Value::str(zones[i as usize % 3]);
+                vec![Value::Int(i), Value::Int(i % 100), zone]
+            })
+            .collect();
+        let info_rows = (0..N)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::str(if i % 2 == 0 { "food" } else { "pharma" }),
+                ]
+            })
+            .collect();
+        let tables: Vec<Arc<dyn Table>> = vec![
+            Arc::new(MemTable::new("orders", orders, orders_rows)),
+            Arc::new(MemTable::new("info", info, info_rows)),
+        ];
+        let sql = "EXPLAIN ANALYZE SELECT zone, COUNT(*), SUM(total) FROM orders \
+                   JOIN info USING(partitionKey) WHERE category = 'food' AND total > 10 \
+                   GROUP BY zone";
+        for dop in [1usize, 2] {
+            let registry = MetricsRegistry::new();
+            let e = SqlEngine::new(MemCatalog::new(tables.clone())).with_telemetry(&registry);
+            let rs = e.query_with_dop(sql, dop).unwrap();
+            let lines: Vec<String> = rs.rows().iter().map(|r| r[0].to_string()).collect();
+            let wall = |l: &str| -> u64 {
+                let w = l.split("wall=").nth(1).expect("annotated node");
+                w[..w.find("us").unwrap()].parse().unwrap()
+            };
+            for node in ["Filter", "HashJoin"] {
+                let line = lines.iter().find(|l| l.contains(node)).unwrap();
+                assert!(wall(line) > 0, "dop {dop}: {line}");
+            }
+            if dop == 1 {
+                let root = registry
+                    .spans()
+                    .snapshot()
+                    .into_iter()
+                    .find(|s| s.kind == "query")
+                    .unwrap();
+                let total: u64 = lines
+                    .iter()
+                    .filter(|l| l.contains(" wall="))
+                    .map(|l| wall(l))
+                    .sum();
+                assert!(
+                    total <= root.duration_us(),
+                    "node walls {total}us exceed the query's {}us: {lines:#?}",
+                    root.duration_us()
+                );
+            }
+        }
     }
 
     #[test]
@@ -745,7 +823,7 @@ mod tests {
         assert_eq!(root.label("rows"), Some("1"));
         assert!(spans
             .iter()
-            .any(|s| s.kind == "scan" && s.parent == Some(root.id)));
+            .any(|s| s.kind == "slice" && s.parent == Some(root.id)));
     }
 
     #[test]

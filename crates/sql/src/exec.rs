@@ -1,26 +1,26 @@
 //! Plan execution: scans → hash joins → filter → aggregation → projection →
 //! HAVING → ORDER BY → LIMIT.
 //!
-//! Every query runs on the columnar driver (`vectorized.rs`), sequential at
-//! DOP 1 and morsel-driven above it. This module holds what that driver
-//! shares — the morsel core (`units_of`, `claim_units`,
-//! [`parallel_scan_batches`]), the accumulators and partial-aggregate
-//! merge, and the project/sort/limit tail — plus the **row reference**: a
-//! sequential row-at-a-time evaluator that materializes each scan whole and
-//! folds it. The reference runs only when a context turns the columnar
-//! driver off (`SqlEngine::query_reference`), as the oracle the
-//! equivalence tests compare every DOP against (see DESIGN.md §5).
+//! Every query runs on the columnar morsel driver (`vectorized.rs`) at every
+//! DOP; at DOP 1 its one worker is the caller's thread. This module holds
+//! what that driver shares — the per-scan morsel loop ([`scan_morsels`],
+//! over the system's one worker pool, `squery_common::morsel`), the
+//! accumulators and partial-aggregate merge, and the project/sort/limit
+//! tail — plus the **row reference**: a sequential row-at-a-time evaluator
+//! that materializes each scan whole and folds it. The reference runs only
+//! when a context turns the columnar driver off
+//! (`SqlEngine::query_reference`), as the oracle the equivalence tests
+//! compare every DOP against (see DESIGN.md §5).
 
 use crate::ast::AggregateFunc;
 use crate::batch::ColumnarBatch;
-use crate::catalog::{ExecContext, ExecTrace, TableSlices};
+use crate::catalog::{slice_batches_cached, ExecContext, ExecTrace, ScanSlices};
 use crate::plan::{AggregateNode, JoinNode, PhysicalPlan};
-use parking_lot::Mutex;
+use squery_common::morsel::claim_units;
 use squery_common::trace::SpanGuard;
 use squery_common::{SqError, SqResult, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -192,151 +192,42 @@ fn sort_and_limit(
 }
 
 // ---------------------------------------------------------------------------
-// Morsel core (used by the columnar parallel driver)
+// Morsel loop (used by the columnar driver)
 // ---------------------------------------------------------------------------
 
-/// One claimable unit of base-scan work.
-enum Unit {
-    /// A table slice (usually one grid partition).
-    Slice(u32),
-    /// A row range of a whole-materialized scan (morsel chunking).
-    Range(usize, usize),
-}
-
-/// Split a resolved scan into claimable units: one per slice, or row-range
-/// morsels of a whole-materialized scan (then also returned for the ranges
-/// to index into).
-fn units_of<'a>(
-    slices: &'a TableSlices,
-    ctx: &ExecContext,
-) -> (Vec<Unit>, Option<&'a Vec<Vec<Value>>>) {
-    match slices {
-        TableSlices::Sliced(s) => ((0..s.slice_count()).map(Unit::Slice).collect(), None),
-        TableSlices::Whole(rows) => {
-            let n = rows.len();
-            let chunk = ctx
-                .parallelism
-                .min_morsel_rows
-                .max(n.div_ceil(ctx.parallelism.degree * 4))
-                .max(1);
-            let mut units = Vec::new();
-            let mut start = 0;
-            while start < n {
-                let end = (start + chunk).min(n);
-                units.push(Unit::Range(start, end));
-                start = end;
-            }
-            (units, Some(rows))
-        }
-    }
-}
-
-/// Morsel driver core: `dop` scoped workers claim unit indexes `0..n_units`
-/// from an atomic cursor and run `f` on each; results come back **in unit
-/// order** — the ordering contract every deterministic merge relies on. The
-/// first error stops further claims and is returned.
-fn claim_units<R: Send>(
-    n_units: usize,
-    dop: usize,
-    f: impl Fn(usize) -> SqResult<R> + Sync,
-) -> SqResult<Vec<R>> {
-    if n_units == 0 {
-        return Ok(Vec::new());
-    }
-    let cursor = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let first_error: Mutex<Option<SqError>> = Mutex::new(None);
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n_units).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..dop.min(n_units) {
-            scope.spawn(|| loop {
-                if failed.load(AtomicOrdering::Acquire) {
-                    return;
-                }
-                let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                if i >= n_units {
-                    return;
-                }
-                match f(i) {
-                    Ok(r) => results.lock()[i] = Some(r),
-                    Err(e) => {
-                        failed.store(true, AtomicOrdering::Release);
-                        let mut g = first_error.lock();
-                        if g.is_none() {
-                            *g = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-    Ok(results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every unit completed"))
-        .collect())
-}
-
-/// Morsel driver over batches: workers claim units and map each through
-/// `f`, results in unit order. Traced queries open one `slice` span per
-/// claimed unit, folding the unit's scanned rows (and one claimed slice)
-/// into plan node `node`'s statistics. Each unit materializes as columnar
-/// batches restricted to the `cols` schema columns — sliced scans go
-/// through [`crate::catalog::slice_batches_cached`] (typed extraction
-/// straight from storage, pruned columns never touched, memoized across
-/// queries for immutable snapshot sources), whole scans chunk their
-/// projected rows into `BATCH_ROWS`-sized batches.
-pub(crate) fn parallel_scan_batches<R: Send>(
-    slices: &TableSlices,
+/// The morsel loop over one scan: `ctx.parallelism.degree` workers claim its
+/// slices as units and map each through `f`, results in unit order. Each
+/// unit decodes its slice as columnar batches restricted to the `cols`
+/// schema columns through [`slice_batches_cached`] (typed extraction
+/// straight from storage, memoized across queries for immutable snapshot
+/// sources). A traced query opens one `slice` span per unit around the
+/// decode alone — closed even when the decode fails — folding its rows and
+/// one claimed slice into scan node `node`'s statistics; what `f` does with
+/// the batches is `f`'s to account.
+pub(crate) fn scan_morsels<R: Send>(
+    slices: &dyn ScanSlices,
     ctx: &ExecContext,
     node: &str,
     cols: &[usize],
-    f: impl Fn(&[Arc<ColumnarBatch>], usize) -> SqResult<R> + Sync,
+    f: impl Fn(&[Arc<ColumnarBatch>]) -> SqResult<R> + Sync,
 ) -> SqResult<Vec<R>> {
-    let (units, whole_rows) = units_of(slices, ctx);
-    claim_units(units.len(), ctx.parallelism.degree, |i| {
+    claim_units(slices.slice_count() as usize, ctx.parallelism.degree, |i| {
         let timer = start_node(ctx, "slice", node.to_string());
-        let scanned;
-        let result = match units[i] {
-            Unit::Slice(s) => {
-                let TableSlices::Sliced(sl) = slices else {
-                    unreachable!("slice units imply sliced scan")
-                };
-                let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
-                let batches = crate::catalog::slice_batches_cached(&**sl, s, cols)?;
-                if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
-                    h.record(t0.elapsed().as_micros() as u64);
-                }
-                let rows: u64 = batches.iter().map(|b| b.len() as u64).sum();
-                if let Some(c) = &ctx.rows_scanned {
-                    c.add(rows);
-                }
-                scanned = rows;
-                f(&batches, i)
-            }
-            Unit::Range(a, b) => {
-                let rows = &whole_rows.expect("range units imply whole rows")[a..b];
-                if let Some(c) = &ctx.rows_scanned {
-                    c.add(rows.len() as u64);
-                }
-                scanned = rows.len() as u64;
-                let batches: Vec<Arc<ColumnarBatch>> =
-                    ColumnarBatch::from_rows_chunked_cols(rows, cols)
-                        .into_iter()
-                        .map(Arc::new)
-                        .collect();
-                f(&batches, i)
-            }
-        };
+        let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
+        let decoded = slice_batches_cached(slices, i as u32, cols);
+        let rows: u64 = decoded.iter().flatten().map(|b| b.len() as u64).sum();
         if let Some(mut t) = timer {
             t.guard.label("unit", i);
-            t.close(scanned, 1);
+            t.close(rows, 1);
         }
-        result
+        let batches = decoded?;
+        if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
+            h.record(t0.elapsed().as_micros() as u64);
+        }
+        if let Some(c) = &ctx.rows_scanned {
+            c.add(rows);
+        }
+        f(&batches)
     })
 }
 

@@ -46,7 +46,7 @@ pub mod vectorized;
 
 pub use batch::{ColumnarBatch, BATCH_ROWS};
 pub use catalog::{
-    Catalog, ExecContext, ExecTrace, NodeStat, ScanHints, ScanSlices, SsidMode, Table, TableSlices,
+    Catalog, ExecContext, ExecTrace, NodeStat, ScanHints, ScanSlices, SsidMode, Table,
 };
 pub use engine::{QueryLog, QueryLogEntry, ResultSet, SqlEngine};
 pub use squery_common::config::Parallelism;

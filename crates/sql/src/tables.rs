@@ -12,7 +12,7 @@
 //! how IMDG exposes non-decomposable values.
 
 use crate::batch::{ColumnBuilder, ColumnarBatch, BATCH_ROWS};
-use crate::catalog::{Catalog, ExecContext, ScanHints, ScanSlices, SsidMode, Table, TableSlices};
+use crate::catalog::{row_chunks, Catalog, ExecContext, ScanHints, ScanSlices, SsidMode, Table};
 use parking_lot::RwLock;
 use squery_common::schema::{Field, Schema, KEY_COLUMN, SSID_COLUMN};
 use squery_common::value::StructValue;
@@ -204,16 +204,19 @@ impl Table for LiveTable {
         Ok(rows)
     }
 
-    fn scan_partitions(&self, hints: &ScanHints, ctx: &ExecContext) -> SqResult<TableSlices> {
+    fn scan_partitions(
+        &self,
+        hints: &ScanHints,
+        ctx: &ExecContext,
+    ) -> SqResult<Arc<dyn ScanSlices>> {
         if hints.key_eq.is_some() {
             // Point reads touch one partition; nothing to parallelize.
-            return Ok(TableSlices::Whole(self.scan(hints, ctx)?));
+            return Ok(row_chunks(self.scan(hints, ctx)?, &ctx.parallelism));
         }
-        Ok(TableSlices::Sliced(Arc::new(LiveSlices {
+        Ok(Arc::new(LiveSlices {
             map: Arc::clone(&self.map),
-            schema: Arc::clone(&self.schema),
             value_schema: self.map.value_schema(),
-        })))
+        }))
     }
 
     fn estimated_rows(&self, hints: &ScanHints) -> Option<u64> {
@@ -231,7 +234,6 @@ impl Table for LiveTable {
 /// sequential scan.
 struct LiveSlices {
     map: Arc<IMap>,
-    schema: Arc<Schema>,
     value_schema: Option<Arc<Schema>>,
 }
 
@@ -240,21 +242,9 @@ impl ScanSlices for LiveSlices {
         self.map.partitioner().partition_count()
     }
 
-    fn scan_slice(&self, slice: u32) -> SqResult<Vec<Vec<Value>>> {
-        let mut rows = Vec::new();
-        self.map.for_each_in_partition(PartitionId(slice), |k, v| {
-            let mut row = Vec::with_capacity(self.schema.len());
-            row.push(k.clone());
-            row.extend(explode(v, self.value_schema.as_ref()));
-            rows.push(row);
-        });
-        Ok(rows)
-    }
-
     fn scan_slice_batches(&self, slice: u32, cols: &[usize]) -> SqResult<Vec<ColumnarBatch>> {
         // Typed extraction: cells go straight from the map into column
-        // vectors, skipping the per-row Vec<Value> of `scan_slice` and
-        // never touching pruned columns. Layout: column 0 is the key, the
+        // vectors, never building a row and never touching pruned columns. Layout: column 0 is the key, the
         // rest are value-schema fields.
         let want_key = cols.first() == Some(&0);
         let fields: Vec<usize> = cols.iter().filter(|&&c| c > 0).map(|&c| c - 1).collect();
@@ -356,20 +346,23 @@ impl Table for SnapshotTable {
         Ok(rows)
     }
 
-    fn scan_partitions(&self, hints: &ScanHints, ctx: &ExecContext) -> SqResult<TableSlices> {
+    fn scan_partitions(
+        &self,
+        hints: &ScanHints,
+        ctx: &ExecContext,
+    ) -> SqResult<Arc<dyn ScanSlices>> {
         if hints.key_eq.is_some() {
-            return Ok(TableSlices::Whole(self.scan(hints, ctx)?));
+            return Ok(row_chunks(self.scan(hints, ctx)?, &ctx.parallelism));
         }
         // Snapshot ids resolve here, once, from the pinned query context —
         // every worker then scans the same committed version(s).
         let ssids = self.resolve_ssids(hints, ctx)?;
-        Ok(TableSlices::Sliced(Arc::new(SnapshotSlices {
+        Ok(Arc::new(SnapshotSlices {
             store: Arc::clone(&self.store),
-            schema: Arc::clone(&self.schema),
             value_schema: self.store.value_schema(),
             parts: self.store.partition_count(),
             ssids,
-        })))
+        }))
     }
 
     fn estimated_rows(&self, hints: &ScanHints) -> Option<u64> {
@@ -402,7 +395,6 @@ impl Table for SnapshotTable {
 /// slice concatenation reproduces its row order exactly.
 struct SnapshotSlices {
     store: Arc<SnapshotStore>,
-    schema: Arc<Schema>,
     value_schema: Option<Arc<Schema>>,
     parts: u32,
     /// Pre-resolved committed ids (the query's pinned snapshot context).
@@ -412,21 +404,6 @@ struct SnapshotSlices {
 impl ScanSlices for SnapshotSlices {
     fn slice_count(&self) -> u32 {
         self.ssids.len() as u32 * self.parts
-    }
-
-    fn scan_slice(&self, slice: u32) -> SqResult<Vec<Vec<Value>>> {
-        let ssid = self.ssids[(slice / self.parts) as usize];
-        let pid = PartitionId(slice % self.parts);
-        let entries = self.store.scan_partition_at(ssid, pid)?;
-        let mut rows = Vec::with_capacity(entries.len());
-        for (k, v) in entries {
-            let mut row = Vec::with_capacity(self.schema.len());
-            row.push(k);
-            row.push(Value::Int(ssid.0 as i64));
-            row.extend(explode(&v, self.value_schema.as_ref()));
-            rows.push(row);
-        }
-        Ok(rows)
     }
 
     fn scan_slice_batches(&self, slice: u32, cols: &[usize]) -> SqResult<Vec<ColumnarBatch>> {
@@ -440,7 +417,7 @@ impl ScanSlices for SnapshotSlices {
         let fields: Vec<usize> = cols.iter().filter(|&&c| c > 1).map(|&c| c - 2).collect();
         let mut w = BatchWriter::new(cols.len());
         // Streams the resolved partition view in `scan_partition_at` order,
-        // so batch rows concatenate to the (projected) row slice exactly.
+        // so batch rows concatenate to the (projected) `scan_at` rows exactly.
         self.store.for_each_partition_at(ssid, pid, |k, v| {
             if want_key {
                 w.push(k);
@@ -742,6 +719,25 @@ mod tests {
         assert_eq!(rs.rows(), &[vec![Value::Int(41)], vec![Value::Int(42)]]);
     }
 
+    /// The rows of every slice's `scan_slice_batches` at columns `cols`,
+    /// concatenated in slice order.
+    fn slice_rows(slices: &dyn ScanSlices, cols: &[usize]) -> Vec<Vec<Value>> {
+        let mut rows = Vec::new();
+        for i in 0..slices.slice_count() {
+            for b in slices.scan_slice_batches(i, cols).unwrap() {
+                rows.extend((0..b.len()).map(|r| b.row_at(r)));
+            }
+        }
+        rows
+    }
+
+    /// `rows` projected to `cols`.
+    fn project(rows: Vec<Vec<Value>>, cols: &[usize]) -> Vec<Vec<Value>> {
+        rows.into_iter()
+            .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
+            .collect()
+    }
+
     #[test]
     fn slices_concatenate_to_the_sequential_scan() {
         let hints = ScanHints::default();
@@ -749,15 +745,13 @@ mod tests {
         let grid = figure4_grid();
         let live = LiveTable::new(grid.get_map("average").unwrap());
         let ctx = ExecContext::live_only(0);
+        let all: Vec<usize> = (0..live.schema().len()).collect();
         let seq = live.scan(&hints, &ctx).unwrap();
-        let TableSlices::Sliced(slices) = live.scan_partitions(&hints, &ctx).unwrap() else {
-            panic!("live table should slice");
-        };
-        let mut concat = Vec::new();
-        for i in 0..slices.slice_count() {
-            concat.extend(slices.scan_slice(i).unwrap());
-        }
-        assert_eq!(concat, seq);
+        assert_eq!(seq.len(), 2);
+        let slices = live.scan_partitions(&hints, &ctx).unwrap();
+        assert_eq!(slices.slice_count(), grid.partitioner().partition_count());
+        assert_eq!(slice_rows(&*slices, &all), seq);
+        assert_eq!(slice_rows(&*slices, &[0, 2]), project(seq, &[0, 2]));
 
         // Snapshot table with two retained versions: ssid-major slice order.
         let grid = grid_with_snapshots();
@@ -772,27 +766,25 @@ mod tests {
             ssid: SsidMode::AllRetained,
             ..ScanHints::default()
         };
+        let all: Vec<usize> = (0..snap.schema().len()).collect();
         for h in [&hints, &all_hints] {
             let seq = snap.scan(h, &ctx).unwrap();
-            let TableSlices::Sliced(slices) = snap.scan_partitions(h, &ctx).unwrap() else {
-                panic!("snapshot table should slice");
-            };
-            let mut concat = Vec::new();
-            for i in 0..slices.slice_count() {
-                concat.extend(slices.scan_slice(i).unwrap());
-            }
-            assert_eq!(concat, seq);
+            assert!(!seq.is_empty());
+            let slices = snap.scan_partitions(h, &ctx).unwrap();
+            assert_eq!(slice_rows(&*slices, &all), seq);
+            assert_eq!(slice_rows(&*slices, &[1, 3]), project(seq, &[1, 3]));
         }
 
-        // Point reads collapse to a single whole slice.
+        // Point reads wrap the scanned rows in one row chunk.
         let point = ScanHints {
             key_eq: Some(Value::Int(1)),
             ..ScanHints::default()
         };
-        assert!(matches!(
-            snap.scan_partitions(&point, &ctx).unwrap(),
-            TableSlices::Whole(_)
-        ));
+        let seq = snap.scan(&point, &ctx).unwrap();
+        assert_eq!(seq.len(), 1);
+        let slices = snap.scan_partitions(&point, &ctx).unwrap();
+        assert_eq!(slices.slice_count(), 1);
+        assert_eq!(slice_rows(&*slices, &all), seq);
     }
 
     #[test]

@@ -21,16 +21,24 @@
 //!   **row-evaluated per batch** with the original expression, so errors
 //!   and three-valued edge cases reproduce exactly.
 //!
-//! The morsel driver and tracing contract are shared with `exec.rs`: the
-//! node keys (`scan{i}`, `join{i}`, `filter`, `aggregate`) match the
+//! **One driver.** [`try_execute`] is the morsel driver at every DOP: it
+//! builds every join table, then workers claim slices of the probe scan
+//! through `exec.rs`'s morsel loop and run probe → filter → partial
+//! aggregate per slice, and the caller merges in slice order. At DOP 1 the
+//! caller's thread is the only worker. A traced query's accounting is the
+//! same at every DOP: a `slice` span per unit times that slice's decode
+//! (node `scan{i}`), a `join_build` span times each hash build (`join{i}`),
+//! each unit's probe, filter and aggregate-fold time folds into `join{i}`,
+//! `filter` and `aggregate` without spans of its own, and `aggregate` and
+//! `sort` spans time the caller's merge and sort. The node keys match the
 //! reference's, so `EXPLAIN ANALYZE` renders the same tree either way.
 
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::batch::{Column, ColumnBuilder, ColumnarBatch, Mask, Tri};
-use crate::catalog::{slice_batches_cached, ExecContext, TableSlices};
+use crate::catalog::ExecContext;
 use crate::exec::{
-    accumulate, finish_groups, finish_output, parallel_scan_batches, project_rows, start_node, Acc,
-    NodeTimer, PartialAgg,
+    accumulate, finish_groups, finish_output, project_rows, scan_morsels, start_node, Acc,
+    PartialAgg,
 };
 use crate::expr::{like_match, BoundExpr};
 use crate::plan::{AggregateNode, PhysicalPlan};
@@ -40,6 +48,7 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Predicate kernels
@@ -1108,296 +1117,54 @@ impl<'a> VecAgg<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Drivers
+// The morsel driver
 // ---------------------------------------------------------------------------
 
-/// Run any plan on the columnar path.
+/// Run any plan at any DOP: every join table is built first, then workers
+/// claim probe-scan units and run probe → filter → partial aggregate or
+/// projection per unit, and the caller merges in unit order. At DOP 1 the
+/// caller's thread is the only worker and claims every unit in order.
 pub(crate) fn try_execute(plan: &PhysicalPlan, ctx: &ExecContext) -> SqResult<Vec<Vec<Value>>> {
     let lay = layout(plan, ctx.now_micros);
-    if ctx.parallelism.is_parallel() {
-        run_parallel(plan, ctx, &lay)
-    } else {
-        run_sequential(plan, ctx, &lay)
-    }
-}
-
-/// Close a scan node's span over `rows` rows and `slices` claimed slices,
-/// and count the rows as scanned.
-fn account_scan(ctx: &ExecContext, timer: Option<NodeTimer<'_>>, rows: u64, slices: u64) {
-    if let Some(t) = timer {
-        t.close(rows, slices);
-    }
-    if let Some(c) = &ctx.rows_scanned {
-        c.add(rows);
-    }
-}
-
-/// Materialize resolved scan slices as batches restricted to the `cols`
-/// schema columns, in slice order. Sliced sources go through the per-slice
-/// executor cache, so repeated queries over the same committed snapshot
-/// reuse already-decoded column vectors.
-fn slices_batches(slices: &TableSlices, cols: &[usize]) -> SqResult<Vec<Arc<ColumnarBatch>>> {
-    Ok(match slices {
-        TableSlices::Whole(rows) => ColumnarBatch::from_rows_chunked_cols(rows, cols)
-            .into_iter()
-            .map(Arc::new)
-            .collect(),
-        TableSlices::Sliced(sl) => {
-            let mut out = Vec::new();
-            for s in 0..sl.slice_count() {
-                out.extend(slice_batches_cached(&**sl, s, cols)?);
-            }
-            out
-        }
-    })
-}
-
-/// Build — or fetch a memoized — join table over the build scan of `jl`,
-/// holding its build-scan columns and hashed by its build keys. The
-/// sequential driver scans under one `scan` span; the parallel driver scans
-/// slices in parallel under per-unit `slice` spans, then indexes them in
-/// unit order, so both produce the same key → matches-in-scan-order table.
-/// Committed-snapshot sources memoize it under its key and scanned columns;
-/// a hit replays the scan span and rows-scanned count the miss would have
-/// emitted, keeping `EXPLAIN ANALYZE` totals cache-independent.
-fn build_table(
-    plan: &PhysicalPlan,
-    jl: &JoinLayout,
-    ctx: &ExecContext,
-    parallel: bool,
-) -> SqResult<Arc<JoinTable>> {
-    let scan = &plan.scans[jl.scan];
-    let node = format!("scan{}", jl.scan);
-    let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
-    let mut cache_cols = jl.build_key_pos.clone();
-    cache_cols.push(usize::MAX);
-    cache_cols.extend(&jl.build_scan);
-    if let TableSlices::Sliced(sl) = &slices {
-        let hit = sl.cache_get("join_table", u32::MAX, &cache_cols);
-        if let Some(table) = hit.and_then(|h| h.downcast::<JoinTable>().ok()) {
-            let (kind, units) = if parallel {
-                ("slice", u64::from(sl.slice_count()))
-            } else {
-                ("scan", 0)
-            };
-            account_scan(ctx, start_node(ctx, kind, node), table.rows(), units);
-            return Ok(table);
-        }
-    }
-    let batches = if parallel {
-        parallel_scan_batches(&slices, ctx, &node, &jl.build_scan, |b, _| Ok(b.to_vec()))?.concat()
-    } else {
-        let timer = start_node(ctx, "scan", node);
-        let batches = slices_batches(&slices, &jl.build_scan)?;
-        account_scan(ctx, timer, batches.iter().map(|b| b.len() as u64).sum(), 0);
-        batches
-    };
-    let table = Arc::new(JoinTable::build(batches, &jl.build_key_pos));
-    if let TableSlices::Sliced(sl) = &slices {
-        sl.cache_put("join_table", u32::MAX, &cache_cols, table.clone());
-    }
-    Ok(table)
-}
-
-/// The sequential (DOP 1) driver: phase-at-a-time under the same span
-/// structure as the row reference (`scan{i}`, `join{i}`, `filter`,
-/// `aggregate`, scans in scan order), so `EXPLAIN ANALYZE` and trace-shape
-/// assertions see identical node spans.
-fn run_sequential(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    lay: &Layout,
-) -> SqResult<Vec<Vec<Value>>> {
-    // --- scans + joins ----------------------------------------------------
-    let scan_probe = || -> SqResult<Vec<Arc<ColumnarBatch>>> {
-        let scan = &plan.scans[lay.probe];
-        let timer = start_node(ctx, "scan", format!("scan{}", lay.probe));
-        let batches = slices_batches(
-            &scan.table.scan_partitions(&scan.hints, ctx)?,
-            &lay.probe_cols,
-        )?;
-        account_scan(ctx, timer, batches.iter().map(|b| b.len() as u64).sum(), 0);
-        Ok(batches)
-    };
-    // A flipped join builds over scan 0 before its probe side is scanned.
-    let mut pipeline = if lay.probe == 0 {
-        Some(scan_probe()?)
-    } else {
-        None
-    };
-    for (j, jl) in lay.joins.iter().enumerate() {
-        let table = build_table(plan, jl, ctx, false)?;
-        let probe = match pipeline.take() {
-            Some(batches) => batches,
-            None => scan_probe()?,
-        };
-        let timer = start_node(ctx, "join", format!("join{j}"));
-        let mut out = Vec::with_capacity(probe.len());
-        let mut rows = 0u64;
-        for b in &probe {
-            let ob = probe_batch(b, &table, &jl.probe_key_pos, &jl.build_cols);
-            rows += ob.len() as u64;
-            if !ob.is_empty() {
-                out.push(Arc::new(ob));
-            }
-        }
-        if let Some(t) = timer {
-            t.close(rows, 0);
-        }
-        pipeline = Some(out);
-    }
-    let batches = pipeline.expect("the probe side is scanned");
-
-    // --- filter -----------------------------------------------------------
-    let selections: Vec<Vec<u32>> = if plan.filter.is_some() {
-        let timer = start_node(ctx, "filter", "filter".into());
-        let mut sels = Vec::with_capacity(batches.len());
-        let mut kept = 0u64;
-        for b in &batches {
-            let sel = filter_selection(lay, b.as_ref(), ctx)?;
-            kept += sel.len() as u64;
-            sels.push(sel);
-        }
-        if let Some(t) = timer {
-            t.close(kept, 0);
-        }
-        sels
-    } else {
-        batches
-            .iter()
-            .map(|b| (0..b.len() as u32).collect())
-            .collect()
-    };
-
-    // --- aggregate --------------------------------------------------------
-    let rows = if let Some(node) = &plan.aggregate {
-        let timer = start_node(ctx, "aggregate", "aggregate".into());
-        let rows = match &lay.agg {
-            Some((group_cols, agg_args)) => {
-                let mut va = VecAgg::new(node, group_cols, agg_args);
-                for (b, sel) in batches.iter().zip(&selections) {
-                    va.update(b.as_ref(), sel)?;
-                }
-                finish_groups(va.into_partial(), node)
-            }
-            None => {
-                let mut partial = PartialAgg::new();
-                for (b, sel) in batches.iter().zip(&selections) {
-                    let rows: Vec<Vec<Value>> = sel
-                        .iter()
-                        .map(|&i| lay.logical_row(b.as_ref(), i as usize))
-                        .collect();
-                    accumulate(&rows, node, ctx, &mut partial)?;
-                }
-                finish_groups(partial, node)
-            }
-        };
-        if let Some(t) = timer {
-            t.close(rows.len() as u64, 0);
-        }
-        rows
-    } else {
-        let mut rows = Vec::new();
-        for (b, sel) in batches.iter().zip(&selections) {
-            for &i in sel {
-                rows.push(lay.logical_row(b.as_ref(), i as usize));
-            }
-        }
-        rows
-    };
-
-    let projected = project_rows(plan, ctx, &rows)?;
-    Ok(finish_output(plan, ctx, projected))
-}
-
-/// Probe one morsel unit's batches through every join table in chain
-/// order, filter them, feed each surviving `(batch, selection)` to `f`,
-/// and fold the per-unit trace counts (`join{i}`, `filter`).
-fn for_each_filtered(
-    plan: &PhysicalPlan,
-    lay: &Layout,
-    tables: &[Arc<JoinTable>],
-    ctx: &ExecContext,
-    batches: &[Arc<ColumnarBatch>],
-    mut f: impl FnMut(&ColumnarBatch, &[u32]) -> SqResult<()>,
-) -> SqResult<()> {
-    let mut join_rows = vec![0u64; tables.len()];
-    let mut kept_rows = 0u64;
-    'batches: for b in batches {
-        let mut joined: Option<ColumnarBatch> = None;
-        for ((jl, table), n) in lay.joins.iter().zip(tables).zip(&mut join_rows) {
-            let cur = joined.as_ref().unwrap_or(b);
-            let next = probe_batch(cur, table, &jl.probe_key_pos, &jl.build_cols);
-            *n += next.len() as u64;
-            if next.is_empty() {
-                continue 'batches;
-            }
-            joined = Some(next);
-        }
-        let cur = joined.as_ref().unwrap_or(b);
-        let sel = filter_selection(lay, cur, ctx)?;
-        kept_rows += sel.len() as u64;
-        if !sel.is_empty() {
-            f(cur, &sel)?;
-        }
-    }
-    if let Some(t) = &ctx.trace {
-        for (j, n) in join_rows.into_iter().enumerate() {
-            t.add(&format!("join{j}"), n, 0, 0);
-        }
-        if plan.filter.is_some() {
-            t.add("filter", kept_rows, 0, 0);
-        }
-    }
-    Ok(())
-}
-
-/// The parallel (morsel-driven) driver: every join table is built first
-/// under a `join_build` span, then workers claim probe-scan units and run
-/// probe → filter → partial aggregate or projection per unit; the
-/// coordinator merges in unit order.
-fn run_parallel(plan: &PhysicalPlan, ctx: &ExecContext, lay: &Layout) -> SqResult<Vec<Vec<Value>>> {
     // Every scan resolves its slices from the one query context, whose
     // ssids were fixed at query start, so all workers read the same
     // committed version(s).
     let base_scan = &plan.scans[lay.probe];
     let base_key = format!("scan{}", lay.probe);
     let base = base_scan.table.scan_partitions(&base_scan.hints, ctx)?;
-    let mut tables = Vec::with_capacity(lay.joins.len());
-    for (j, jl) in lay.joins.iter().enumerate() {
-        let timer = start_node(ctx, "join_build", format!("join{j}"));
-        tables.push(build_table(plan, jl, ctx, true)?);
-        if let Some(t) = timer {
-            t.close(0, 0);
-        }
-    }
+    let tables = lay
+        .joins
+        .iter()
+        .enumerate()
+        .map(|(j, jl)| build_table(plan, jl, j, ctx))
+        .collect::<SqResult<Vec<_>>>()?;
+    let lay = &lay;
+    let tables = &tables;
 
     match &plan.aggregate {
         Some(node) => {
-            let partials =
-                parallel_scan_batches(&base, ctx, &base_key, &lay.probe_cols, |batches, _unit| {
-                    let partial = match &lay.agg {
-                        Some((group_cols, agg_args)) => {
-                            let mut va = VecAgg::new(node, group_cols, agg_args);
-                            for_each_filtered(plan, lay, &tables, ctx, batches, |b, sel| {
-                                va.update(b, sel)
-                            })?;
-                            va.into_partial()
-                        }
-                        None => {
-                            let mut partial = PartialAgg::new();
-                            for_each_filtered(plan, lay, &tables, ctx, batches, |b, sel| {
-                                let rows: Vec<Vec<Value>> = sel
-                                    .iter()
-                                    .map(|&i| lay.logical_row(b, i as usize))
-                                    .collect();
-                                accumulate(&rows, node, ctx, &mut partial)
-                            })?;
-                            partial
-                        }
-                    };
-                    Ok(partial)
-                })?;
+            let partials = scan_morsels(&*base, ctx, &base_key, &lay.probe_cols, |batches| {
+                Ok(match &lay.agg {
+                    Some((group_cols, agg_args)) => {
+                        let mut va = VecAgg::new(node, group_cols, agg_args);
+                        for_each_filtered(plan, lay, tables, ctx, batches, |b, sel| {
+                            va.update(b, sel)
+                        })?;
+                        va.into_partial()
+                    }
+                    None => {
+                        let mut partial = PartialAgg::new();
+                        for_each_filtered(plan, lay, tables, ctx, batches, |b, sel| {
+                            let rows: Vec<Vec<Value>> = sel
+                                .iter()
+                                .map(|&i| lay.logical_row(b, i as usize))
+                                .collect();
+                            accumulate(&rows, node, ctx, &mut partial)
+                        })?;
+                        partial
+                    }
+                })
+            })?;
             let timer = start_node(ctx, "aggregate", "aggregate".into());
             let mut merged = PartialAgg::new();
             for partial in partials {
@@ -1411,21 +1178,136 @@ fn run_parallel(plan: &PhysicalPlan, ctx: &ExecContext, lay: &Layout) -> SqResul
             Ok(finish_output(plan, ctx, projected))
         }
         None => {
-            let chunks =
-                parallel_scan_batches(&base, ctx, &base_key, &lay.probe_cols, |batches, _unit| {
-                    let mut rows = Vec::new();
-                    for_each_filtered(plan, lay, &tables, ctx, batches, |b, sel| {
-                        for &i in sel {
-                            rows.push(lay.logical_row(b, i as usize));
-                        }
-                        Ok(())
-                    })?;
-                    project_rows(plan, ctx, &rows)
+            let chunks = scan_morsels(&*base, ctx, &base_key, &lay.probe_cols, |batches| {
+                let mut rows = Vec::new();
+                for_each_filtered(plan, lay, tables, ctx, batches, |b, sel| {
+                    for &i in sel {
+                        rows.push(lay.logical_row(b, i as usize));
+                    }
+                    Ok(())
                 })?;
+                project_rows(plan, ctx, &rows)
+            })?;
             let projected: Vec<(Vec<Value>, Vec<Value>)> = chunks.into_iter().flatten().collect();
             Ok(finish_output(plan, ctx, projected))
         }
     }
+}
+
+/// Build — or fetch a memoized — join table `j` over the build scan of
+/// `jl`, holding its build-scan columns and hashed by its build keys. The
+/// build scan runs through the morsel loop under per-unit `slice` spans;
+/// the units are then indexed in unit order under a `join_build` span that
+/// times the hash build alone, so the key → matches-in-scan-order table is
+/// the same at every DOP and `join{j}` never counts the scan.
+/// Committed-snapshot sources memoize the table under its key and scanned
+/// columns; a hit builds nothing and replays the scan accounting the miss
+/// would have emitted (one `slice` span carrying every slice), keeping
+/// `EXPLAIN ANALYZE` totals cache-independent.
+fn build_table(
+    plan: &PhysicalPlan,
+    jl: &JoinLayout,
+    j: usize,
+    ctx: &ExecContext,
+) -> SqResult<Arc<JoinTable>> {
+    let scan = &plan.scans[jl.scan];
+    let node = format!("scan{}", jl.scan);
+    let slices = scan.table.scan_partitions(&scan.hints, ctx)?;
+    let mut cache_cols = jl.build_key_pos.clone();
+    cache_cols.push(usize::MAX);
+    cache_cols.extend(&jl.build_scan);
+    let hit = slices.cache_get("join_table", u32::MAX, &cache_cols);
+    if let Some(table) = hit.and_then(|h| h.downcast::<JoinTable>().ok()) {
+        if let Some(t) = start_node(ctx, "slice", node) {
+            t.close(table.rows(), u64::from(slices.slice_count()));
+        }
+        if let Some(c) = &ctx.rows_scanned {
+            c.add(table.rows());
+        }
+        return Ok(table);
+    }
+    let batches = scan_morsels(&*slices, ctx, &node, &jl.build_scan, |b| Ok(b.to_vec()))?.concat();
+    let timer = start_node(ctx, "join_build", format!("join{j}"));
+    let table = Arc::new(JoinTable::build(batches, &jl.build_key_pos));
+    if let Some(t) = timer {
+        t.close(0, 0);
+    }
+    slices.cache_put("join_table", u32::MAX, &cache_cols, table.clone());
+    Ok(table)
+}
+
+/// A stage stopwatch for per-unit trace accounting: each [`Lap::lap`]
+/// returns the time since the previous one. Inert — no clock reads, always
+/// zero — when the query is untraced.
+struct Lap(Option<Instant>);
+
+impl Lap {
+    fn new(ctx: &ExecContext) -> Lap {
+        Lap(ctx.trace.as_ref().map(|_| Instant::now()))
+    }
+
+    fn lap(&mut self) -> Duration {
+        let Some(last) = &mut self.0 else {
+            return Duration::ZERO;
+        };
+        let now = Instant::now();
+        let elapsed = now - *last;
+        *last = now;
+        elapsed
+    }
+}
+
+/// Probe one morsel unit's batches through every join table in chain
+/// order, filter them, and feed each surviving `(batch, selection)` to `f`.
+/// A traced query folds the unit's rows and stage times into `join{i}` and
+/// `filter`, and the time `f` spends folding an aggregate plan's rows into
+/// `aggregate`.
+fn for_each_filtered(
+    plan: &PhysicalPlan,
+    lay: &Layout,
+    tables: &[Arc<JoinTable>],
+    ctx: &ExecContext,
+    batches: &[Arc<ColumnarBatch>],
+    mut f: impl FnMut(&ColumnarBatch, &[u32]) -> SqResult<()>,
+) -> SqResult<()> {
+    let mut join_rows = vec![0u64; tables.len()];
+    let mut join_time = vec![Duration::ZERO; tables.len()];
+    let (mut kept_rows, mut filter_time, mut fold_time) = (0u64, Duration::ZERO, Duration::ZERO);
+    let mut clock = Lap::new(ctx);
+    'batches: for b in batches {
+        let mut joined: Option<ColumnarBatch> = None;
+        for (j, (jl, table)) in lay.joins.iter().zip(tables).enumerate() {
+            let cur = joined.as_ref().unwrap_or(b);
+            let next = probe_batch(cur, table, &jl.probe_key_pos, &jl.build_cols);
+            join_rows[j] += next.len() as u64;
+            join_time[j] += clock.lap();
+            if next.is_empty() {
+                continue 'batches;
+            }
+            joined = Some(next);
+        }
+        let cur = joined.as_ref().unwrap_or(b);
+        let sel = filter_selection(lay, cur, ctx)?;
+        kept_rows += sel.len() as u64;
+        filter_time += clock.lap();
+        if !sel.is_empty() {
+            f(cur, &sel)?;
+            fold_time += clock.lap();
+        }
+    }
+    if let Some(t) = &ctx.trace {
+        let us = |d: Duration| d.as_micros() as u64;
+        for (j, (n, d)) in join_rows.into_iter().zip(join_time).enumerate() {
+            t.add(&format!("join{j}"), n, us(d), 0);
+        }
+        if plan.filter.is_some() {
+            t.add("filter", kept_rows, us(filter_time), 0);
+        }
+        if plan.aggregate.is_some() {
+            t.add("aggregate", 0, us(fold_time), 0);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1561,8 +1443,7 @@ mod tests {
         ] {
             assert_vectorized_matches_rows(sql);
         }
-        // EXPLAIN ANALYZE counts every join of a chain, sequential or
-        // morsel-driven.
+        // EXPLAIN ANALYZE counts every join of a chain at every DOP.
         let engine = crate::engine::SqlEngine::new(catalog());
         for dop in [1usize, 2] {
             let rs = engine

@@ -182,7 +182,9 @@ run_freshness() {
 
 run_tsan() {
     # ThreadSanitizer pass (DESIGN.md §9): the streaming crate's unit tests
-    # (checkpoint + worker handoffs) and a short chaos seed slice compiled
+    # (checkpoint + worker handoffs), the worker pool's own tests
+    # (squery_common::morsel) and the SQL executor's morsel-driven tests
+    # (exec::tests::parallel_*), and a short chaos seed slice, compiled
     # with -Zsanitizer=thread. The prebuilt std is uninstrumented — hence
     # -Cunsafe-allow-abi-mismatch and the libtest-channel suppressions in
     # scripts/tsan.supp; every squery crate IS instrumented and never
@@ -198,11 +200,17 @@ run_tsan() {
     local topts="suppressions=$PWD/scripts/tsan.supp"
     local host
     host=$(rustc -vV | sed -n 's/^host: //p')
-    echo "==> tsan (streaming unit tests + chaos slice, -> $log)" &&
+    echo "==> tsan (streaming unit tests + worker pool + morsel executor + chaos slice, -> $log)" &&
         mkdir -p "$(dirname "$log")" &&
         RUSTFLAGS="$rustflags" CARGO_TARGET_DIR=target/tsan TSAN_OPTIONS="$topts" \
             cargo +nightly test --offline -q -p squery-streaming --lib \
             --target "$host" -- --nocapture 2>&1 | tee "$log" &&
+        RUSTFLAGS="$rustflags" CARGO_TARGET_DIR=target/tsan TSAN_OPTIONS="$topts" \
+            cargo +nightly test --offline -q -p squery-common --lib \
+            --target "$host" -- morsel:: 2>&1 | tee -a "$log" &&
+        RUSTFLAGS="$rustflags" CARGO_TARGET_DIR=target/tsan TSAN_OPTIONS="$topts" \
+            cargo +nightly test --offline -q -p squery-sql --lib \
+            --target "$host" -- exec::tests::parallel_ 2>&1 | tee -a "$log" &&
         RUSTFLAGS="$rustflags" CARGO_TARGET_DIR=target/tsan TSAN_OPTIONS="$topts" \
             cargo +nightly run --offline -q -p squery-bench --bin chaos \
             --target "$host" -- --seeds 3 --base-seed 1 --time-budget-secs 120 \

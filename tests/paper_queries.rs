@@ -184,13 +184,14 @@ fn sql_cross_checks_on_monitoring_state() {
     job.stop();
 }
 
-/// `rows=`/`slices=` of every snapshot scan node in an EXPLAIN ANALYZE
-/// rendering, in plan order (wall times and staleness vary run to run).
-fn scan_accounting(rs: &squery::ResultSet) -> Vec<Vec<String>> {
+/// `rows=`/`slices=` of every node line containing `node` in an EXPLAIN
+/// ANALYZE rendering, in plan order (wall times and staleness vary run to
+/// run).
+fn accounting(rs: &squery::ResultSet, node: &str) -> Vec<Vec<String>> {
     rs.rows()
         .iter()
         .map(|r| r[0].to_string())
-        .filter(|l| l.contains("Scan snapshot_"))
+        .filter(|l| l.contains(node))
         .map(|l| {
             l.split([' ', '(', ')'])
                 .filter(|t| t.starts_with("rows=") || t.starts_with("slices="))
@@ -203,7 +204,8 @@ fn scan_accounting(rs: &squery::ResultSet) -> Vec<Vec<String>> {
 /// Query 1 cold (executor-cache miss) and warm (hit) at DOP 1 and DOP 2:
 /// both scan nodes render the same counts either way, and the scanned-rows
 /// counter advances by the same amount — a cache hit replays the scan's
-/// accounting rather than hiding it.
+/// accounting rather than hiding it. Every node renders the same
+/// `rows=`/`slices=` at DOP 1 as at DOP 2: one driver, one accounting.
 #[test]
 fn explain_analyze_scan_accounting_survives_cache_hits() {
     let (system, job) = monitoring_system();
@@ -214,14 +216,18 @@ fn explain_analyze_scan_accounting_survives_cache_hits() {
             .counter_value("query_rows_scanned_total", &[])
             .unwrap_or(0)
     };
+    let mut per_dop = Vec::new();
     for dop in [1usize, 2] {
         // A fresh snapshot id starts from an empty executor cache.
         job.checkpoint_now().unwrap();
         let mut runs = Vec::new();
+        let mut nodes = Vec::new();
         for _ in 0..2 {
             let before = scanned();
             let rs = system.query_with_dop(&sql, dop).unwrap();
-            runs.push((scan_accounting(&rs), scanned() - before));
+            runs.push((accounting(&rs, "Scan snapshot_"), scanned() - before));
+            // Every annotated node.
+            nodes.push(accounting(&rs, "(rows="));
         }
         let (cold, warm) = (&runs[0], &runs[1]);
         assert_eq!(cold.0.len(), 2, "dop {dop}: two scan nodes: {cold:?}");
@@ -230,6 +236,14 @@ fn explain_analyze_scan_accounting_survives_cache_hits() {
         }
         assert_eq!(cold, warm, "dop {dop}: miss vs hit");
         assert_eq!(cold.1, 2 * ORDERS, "dop {dop}: both scans counted");
+        assert_eq!(nodes[0], nodes[1], "dop {dop}: every node, miss vs hit");
+        per_dop.push(nodes.swap_remove(0));
     }
+    assert_eq!(
+        per_dop[0].len(),
+        5,
+        "Aggregate, Filter, HashJoin, two Scans"
+    );
+    assert_eq!(per_dop[0], per_dop[1], "every node, DOP 1 vs DOP 2");
     job.stop();
 }

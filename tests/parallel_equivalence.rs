@@ -103,7 +103,7 @@ fn q6_and_sys_table_queries_are_dop_invariant() {
             "SELECT COUNT(*) AS n, AVG(average) AS m FROM snapshot_average",
             "SELECT partitionKey, average FROM snapshot_average ORDER BY partitionKey LIMIT 20",
             "SELECT COUNT(*) FROM snapshot_average JOIN snapshot_maxbid USING(partitionKey)",
-            // Sys tables are Whole scans: the parallel driver chunks them.
+            // Sys tables scan as row chunks, claimed like partition slices.
             "SELECT operator, snapshot_entries FROM sys_operators ORDER BY operator",
             "SELECT store, ssid, entries, committed FROM sys_snapshots ORDER BY store, ssid",
             "SELECT job, COUNT(*) FROM sys_checkpoints GROUP BY job",
