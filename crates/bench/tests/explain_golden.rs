@@ -107,7 +107,12 @@ fn explain_analyze_of_q1_to_q4_is_consistent_with_sys_spans() {
         let plan = explain_with(&system, "EXPLAIN ANALYZE", sql);
         // Every instrumented node carries measured stats, and the scans
         // actually read the 40-order snapshot.
-        for needle in ["Scan", "HashJoin", "Filter", "Aggregate"] {
+        for needle in [
+            "Scan snapshot_orderinfo",
+            "Scan snapshot_orderstate",
+            "HashJoin",
+            "Aggregate",
+        ] {
             let line = plan
                 .lines()
                 .find(|l| l.contains(needle))
@@ -119,6 +124,21 @@ fn explain_analyze_of_q1_to_q4_is_consistent_with_sys_spans() {
             plan.lines()
                 .any(|l| l.contains("Scan") && l.contains("rows=40")),
             "scans saw the snapshot: {plan}"
+        );
+        // Every WHERE of Q1–Q4 reads orderstate alone: it filters that
+        // scan, which reports the rows it kept, and nothing filters after
+        // the join.
+        let state = plan
+            .lines()
+            .find(|l| l.contains("Scan snapshot_orderstate"))
+            .unwrap();
+        assert!(
+            state.contains("[filter: ") && state.contains(" kept="),
+            "pushed filter not shown: {state}"
+        );
+        assert!(
+            !plan.contains("Filter"),
+            "a Filter node after the join: {plan}"
         );
     }
     // Each ANALYZE forced one root query span; the morsel driver's spans

@@ -207,7 +207,6 @@ pub const ATOMIC_REGISTRY: &[(&str, &str)] = &[
     ("dropped", "counter"),
     ("enabled", "gate"),
     ("exhausted_sources", "counter"),
-    ("failed", "flag"),
     ("frozen", "flag"),
     ("last_compaction_us", "counter"),
     ("latest_committed", "counter"),

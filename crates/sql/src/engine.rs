@@ -721,9 +721,10 @@ mod tests {
 
     /// EXPLAIN ANALYZE of a join + filter + GROUP BY over 60k in-memory
     /// rows: the probe, filter and aggregate work of every unit lands on
-    /// its own node, not on the scan, and at DOP 1 — where every node's
-    /// work runs on the caller's thread, one after another — the node walls
-    /// add up to no more than the query's root span.
+    /// its own node, a pushed-down filter's on the scan it filters, and at
+    /// DOP 1 — where every node's work runs on the caller's thread, one
+    /// after another — the node walls add up to no more than the query's
+    /// root span.
     #[test]
     fn explain_analyze_attributes_unit_work_to_its_nodes() {
         use squery_common::telemetry::MetricsRegistry;
@@ -756,21 +757,40 @@ mod tests {
             Arc::new(MemTable::new("orders", orders, orders_rows)),
             Arc::new(MemTable::new("info", info, info_rows)),
         ];
-        let sql = "EXPLAIN ANALYZE SELECT zone, COUNT(*), SUM(total) FROM orders \
-                   JOIN info USING(partitionKey) WHERE category = 'food' AND total > 10 \
-                   GROUP BY zone";
-        for dop in [1usize, 2] {
+        // Single-scan conjuncts filter their scans before the join; a
+        // cross-scan WHERE runs after it as a Filter node.
+        let pushed = "WHERE category = 'food' AND total > 10";
+        let residual = "WHERE category = 'food' OR total > 10";
+        for (clause, dop) in [(pushed, 1usize), (pushed, 2), (residual, 1), (residual, 2)] {
+            let sql = format!(
+                "EXPLAIN ANALYZE SELECT zone, COUNT(*), SUM(total) FROM orders \
+                 JOIN info USING(partitionKey) {clause} GROUP BY zone"
+            );
             let registry = MetricsRegistry::new();
             let e = SqlEngine::new(MemCatalog::new(tables.clone())).with_telemetry(&registry);
-            let rs = e.query_with_dop(sql, dop).unwrap();
+            let rs = e.query_with_dop(&sql, dop).unwrap();
             let lines: Vec<String> = rs.rows().iter().map(|r| r[0].to_string()).collect();
             let wall = |l: &str| -> u64 {
                 let w = l.split("wall=").nth(1).expect("annotated node");
                 w[..w.find("us").unwrap()].parse().unwrap()
             };
-            for node in ["Filter", "HashJoin"] {
-                let line = lines.iter().find(|l| l.contains(node)).unwrap();
-                assert!(wall(line) > 0, "dop {dop}: {line}");
+            let line = |node: &str| lines.iter().find(|l| l.contains(node));
+            if clause == pushed {
+                assert!(line("Filter").is_none(), "dop {dop}: {lines:#?}");
+                // Every order decodes; 89 in 100 have total > 10, half the
+                // info rows are food, and 44 in 100 orders are both.
+                let orders = line("Scan orders").unwrap();
+                assert!(orders.contains("(rows=60000 kept=53400 "), "{orders}");
+                let info = line("Scan info").unwrap();
+                assert!(info.contains("(rows=60000 kept=30000 "), "{info}");
+                let join = line("HashJoin").unwrap();
+                assert!(join.contains("(rows=26400 "), "{join}");
+                assert!(wall(join) > 0, "dop {dop}: {join}");
+            } else {
+                for node in ["Filter", "HashJoin"] {
+                    let l = line(node).unwrap();
+                    assert!(wall(l) > 0, "dop {dop}: {l}");
+                }
             }
             if dop == 1 {
                 let root = registry

@@ -16,7 +16,7 @@ use crate::ast::AggregateFunc;
 use crate::batch::ColumnarBatch;
 use crate::catalog::{slice_batches_cached, ExecContext, ExecTrace, ScanSlices};
 use crate::plan::{AggregateNode, JoinNode, PhysicalPlan};
-use squery_common::morsel::claim_units;
+use squery_common::morsel::claim_units_until;
 use squery_common::trace::SpanGuard;
 use squery_common::{SqError, SqResult, Value};
 use std::cmp::Ordering;
@@ -203,32 +203,42 @@ fn sort_and_limit(
 /// sources). A traced query opens one `slice` span per unit around the
 /// decode alone — closed even when the decode fails — folding its rows and
 /// one claimed slice into scan node `node`'s statistics; what `f` does with
-/// the batches is `f`'s to account.
+/// the batches is `f`'s to account. `enough` is the pool's stop hook
+/// (`claim_units_until`): it sees each unit's result in unit order, and
+/// once it returns `true` no further slice is claimed and the results end
+/// at that unit.
 pub(crate) fn scan_morsels<R: Send>(
     slices: &dyn ScanSlices,
     ctx: &ExecContext,
     node: &str,
     cols: &[usize],
     f: impl Fn(&[Arc<ColumnarBatch>]) -> SqResult<R> + Sync,
+    enough: impl FnMut(&R) -> bool + Send,
 ) -> SqResult<Vec<R>> {
-    claim_units(slices.slice_count() as usize, ctx.parallelism.degree, |i| {
-        let timer = start_node(ctx, "slice", node.to_string());
-        let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
-        let decoded = slice_batches_cached(slices, i as u32, cols);
-        let rows: u64 = decoded.iter().flatten().map(|b| b.len() as u64).sum();
-        if let Some(mut t) = timer {
-            t.guard.label("unit", i);
-            t.close(rows, 1);
-        }
-        let batches = decoded?;
-        if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
-            h.record(t0.elapsed().as_micros() as u64);
-        }
-        if let Some(c) = &ctx.rows_scanned {
-            c.add(rows);
-        }
-        f(&batches)
-    })
+    let n = slices.slice_count() as usize;
+    claim_units_until(
+        n,
+        ctx.parallelism.degree,
+        |i| {
+            let timer = start_node(ctx, "slice", node.to_string());
+            let started = ctx.worker_scan_us.as_ref().map(|_| Instant::now());
+            let decoded = slice_batches_cached(slices, i as u32, cols);
+            let rows: u64 = decoded.iter().flatten().map(|b| b.len() as u64).sum();
+            if let Some(mut t) = timer {
+                t.guard.label("unit", i);
+                t.close(rows, 1);
+            }
+            let batches = decoded?;
+            if let (Some(h), Some(t0)) = (&ctx.worker_scan_us, started) {
+                h.record(t0.elapsed().as_micros() as u64);
+            }
+            if let Some(c) = &ctx.rows_scanned {
+                c.add(rows);
+            }
+            f(&batches)
+        },
+        enough,
+    )
 }
 
 /// Inner hash join. NULL keys never match (SQL semantics).

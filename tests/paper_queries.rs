@@ -184,9 +184,9 @@ fn sql_cross_checks_on_monitoring_state() {
     job.stop();
 }
 
-/// `rows=`/`slices=` of every node line containing `node` in an EXPLAIN
-/// ANALYZE rendering, in plan order (wall times and staleness vary run to
-/// run).
+/// `rows=`/`kept=`/`slices=` of every node line containing `node` in an
+/// EXPLAIN ANALYZE rendering, in plan order (wall times and staleness vary
+/// run to run).
 fn accounting(rs: &squery::ResultSet, node: &str) -> Vec<Vec<String>> {
     rs.rows()
         .iter()
@@ -194,7 +194,11 @@ fn accounting(rs: &squery::ResultSet, node: &str) -> Vec<Vec<String>> {
         .filter(|l| l.contains(node))
         .map(|l| {
             l.split([' ', '(', ')'])
-                .filter(|t| t.starts_with("rows=") || t.starts_with("slices="))
+                .filter(|t| {
+                    ["rows=", "kept=", "slices="]
+                        .iter()
+                        .any(|p| t.starts_with(p))
+                })
                 .map(str::to_string)
                 .collect()
         })
@@ -239,11 +243,75 @@ fn explain_analyze_scan_accounting_survives_cache_hits() {
         assert_eq!(nodes[0], nodes[1], "dop {dop}: every node, miss vs hit");
         per_dop.push(nodes.swap_remove(0));
     }
+    // Q1's WHERE filters the orderstate scan: it keeps exactly the rows
+    // that join and feed the aggregate, and no Filter node runs after the
+    // join.
+    let late: i64 = expected_query1(ORDERS).values().sum();
+    let zones = expected_query1(ORDERS).len();
     assert_eq!(
-        per_dop[0].len(),
-        5,
-        "Aggregate, Filter, HashJoin, two Scans"
+        per_dop[0],
+        vec![
+            vec![format!("rows={zones}")],
+            vec![format!("rows={late}")],
+            vec![format!("rows={ORDERS}"), format!("slices={SLICES}")],
+            vec![
+                format!("rows={ORDERS}"),
+                format!("kept={late}"),
+                format!("slices={SLICES}"),
+            ],
+        ],
+        "Aggregate, HashJoin, two Scans"
     );
     assert_eq!(per_dop[0], per_dop[1], "every node, DOP 1 vs DOP 2");
+    job.stop();
+}
+
+/// The grid's partition count: one scan slice per partition.
+const SLICES: u64 = 271;
+
+/// Pushing Q1's filter below the join hides no decode: a cold Q1 scans
+/// both tables whole, as does the warm rerun through the executor cache.
+/// A DOP-1 `LIMIT 2` without ORDER BY stops claiming slices once the
+/// slices it decoded hold two rows — the first slice alone, unless that
+/// one holds fewer.
+#[test]
+fn pushdown_hides_no_decode_and_limit_scans_one_slice() {
+    let (system, job) = monitoring_system();
+    let scanned = || {
+        system
+            .telemetry()
+            .counter_value("query_rows_scanned_total", &[])
+            .unwrap_or(0)
+    };
+    let ssid = job.checkpoint_now().unwrap();
+    for run in ["cold", "warm"] {
+        let before = scanned();
+        system.query_with_dop(QUERY_1, 1).unwrap();
+        assert_eq!(scanned() - before, 2 * ORDERS, "{run} Q1");
+    }
+    // The slices are the partitions in order; the scan stops at the first
+    // whose rows, with those before it, reach two.
+    let rs = system
+        .query(&format!(
+            "SELECT rows FROM sys_partitions \
+             WHERE table = 'snapshot_orderinfo' AND ssid = {} ORDER BY partition",
+            ssid.0
+        ))
+        .unwrap();
+    let mut expected = 0;
+    for row in rs.rows() {
+        let rows = row[0].as_int().unwrap() as u64;
+        if expected >= 2 {
+            break;
+        }
+        expected += rows;
+    }
+    let before = scanned();
+    let rs = system
+        .query_with_dop("SELECT * FROM snapshot_orderinfo LIMIT 2", 1)
+        .unwrap();
+    assert_eq!(rs.len(), 2);
+    assert_eq!(scanned() - before, expected, "LIMIT 2 at DOP 1");
+    assert!(expected < ORDERS / 20, "a slice or two, not the table");
     job.stop();
 }
