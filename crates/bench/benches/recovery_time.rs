@@ -2,17 +2,14 @@
 //! torn down) and restore it from the last committed snapshot, as the
 //! supervisor does after a fatal fault. State size sweeps show the restore
 //! cost growing with the keyspace — the recovery-time side of the paper's
-//! fault-tolerance story. The `cold_start_from_wal` cases measure the
-//! process-death path instead: rebuilding a system's entire snapshot state
-//! from the write-ahead log alone.
+//! fault-tolerance story. The process-death path (a cold start from the
+//! write-ahead log alone) is perfbench's `recovery_s` and its
+//! `storage.wal.recover` probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use squery::{SQuery, SQueryConfig, StateConfig};
 use squery_bench::util::{submit_monitoring, wait_for_fill};
-use squery_common::{PartitionId, Value};
 use squery_streaming::JobHandle;
-use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::time::Duration;
 
 fn prepared_job(orders: u64) -> (SQuery, JobHandle) {
@@ -23,37 +20,6 @@ fn prepared_job(orders: u64) -> (SQuery, JobHandle) {
     wait_for_fill(&job, fill, Duration::from_secs(120));
     job.checkpoint_now().unwrap();
     (system, job)
-}
-
-/// Build a sealed, committed WAL holding `keys` entries, then drop the
-/// system — the directory is all that survives, as after a process kill.
-fn prepared_wal(keys: i64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "squery-recovery-bench-{}-{keys}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = SQueryConfig::default()
-        .with_state(StateConfig::live_and_snapshot())
-        .with_wal_dir(&dir);
-    let system = SQuery::new(config).unwrap();
-    let grid = system.grid();
-    let store = grid.snapshot_store("riders");
-    let ssid = grid.registry().begin().unwrap();
-    let mut parts: BTreeMap<PartitionId, Vec<(Value, Option<Value>)>> = BTreeMap::new();
-    for k in 0..keys {
-        let key = Value::Int(k);
-        parts
-            .entry(store.partition_of(&key))
-            .or_default()
-            .push((key, Some(Value::Int(k * 3))));
-    }
-    for (pid, entries) in parts {
-        store.write_partition(ssid, pid, entries, true);
-    }
-    grid.wal_seal(ssid).unwrap();
-    grid.registry().commit(ssid).unwrap();
-    dir
 }
 
 fn recovery_time(c: &mut Criterion) {
@@ -72,23 +38,6 @@ fn recovery_time(c: &mut Criterion) {
             },
         );
         job.stop();
-    }
-    for keys in [1_000i64, 5_000, 20_000] {
-        let dir = prepared_wal(keys);
-        group.bench_with_input(
-            BenchmarkId::new("cold_start_from_wal", keys),
-            &keys,
-            |b, _| {
-                b.iter(|| {
-                    let config = SQueryConfig::default()
-                        .with_state(StateConfig::live_and_snapshot())
-                        .with_wal_dir(&dir);
-                    let system = SQuery::new(config).unwrap();
-                    assert!(system.latest_snapshot().is_some());
-                });
-            },
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
     group.finish();
 }

@@ -55,8 +55,10 @@ pub const METRIC_NAMES: &[&str] = &[
     "stats_skew_milli",
     "stats_write_rate_milli",
     "supervisor_restarts_total",
+    "wal_append_us",
     "wal_appends_total",
     "wal_bytes_written_total",
+    "wal_compact_us",
     "wal_compactions_total",
     "wal_fsyncs_total",
     "wal_recover_us",

@@ -5,9 +5,11 @@
 //! map by prepending the reserved key column (`partitionKey`, the column name
 //! the paper's queries join on) and — for snapshot tables — the `ssid` column.
 
+use crate::codec::varint_len;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The column name under which a map's key is exposed to SQL.
 ///
@@ -20,30 +22,58 @@ pub const KEY_COLUMN: &str = "partitionKey";
 pub const SSID_COLUMN: &str = "ssid";
 
 /// Data types for schema fields.
+///
+/// The explicit discriminants are the codes the write-ahead log persists
+/// ([`DataType::code`]): a new variant takes a new number, and no existing
+/// one is ever renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Boolean.
-    Bool,
+    Bool = 0,
     /// 64-bit integer.
-    Int,
+    Int = 1,
     /// 64-bit float.
-    Float,
+    Float = 2,
     /// UTF-8 string.
-    Str,
+    Str = 3,
     /// Microsecond timestamp.
-    Timestamp,
+    Timestamp = 4,
     /// List of values.
-    List,
+    List = 5,
     /// Nested struct.
-    Struct,
+    Struct = 6,
     /// Opaque bytes.
-    Bytes,
+    Bytes = 7,
     /// Unconstrained (used where the value type is data-dependent).
-    Any,
+    Any = 8,
+}
+
+impl DataType {
+    /// The one-byte code this type is persisted as (write-ahead-log schema
+    /// tables): its discriminant.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The type persisted as `code`, if any.
+    pub fn from_code(code: u8) -> Option<DataType> {
+        Some(match code {
+            0 => DataType::Bool,
+            1 => DataType::Int,
+            2 => DataType::Float,
+            3 => DataType::Str,
+            4 => DataType::Timestamp,
+            5 => DataType::List,
+            6 => DataType::Struct,
+            7 => DataType::Bytes,
+            8 => DataType::Any,
+            _ => return None,
+        })
+    }
 }
 
 /// A named, typed field.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Field {
     /// Field / column name.
     pub name: String,
@@ -56,6 +86,10 @@ pub struct Field {
 pub struct Schema {
     fields: Vec<Field>,
     by_name: HashMap<String, usize>,
+    /// Bytes the field names take in the self-describing codec (each
+    /// name's varint length plus the name), summed once here so byte
+    /// accounting never walks the names.
+    names_len: usize,
 }
 
 impl Schema {
@@ -77,19 +111,49 @@ impl Schema {
     /// Build a schema from prebuilt fields. Panics on duplicate names.
     pub fn from_fields(fields: Vec<Field>) -> Schema {
         let mut by_name = HashMap::with_capacity(fields.len());
+        let mut names_len = 0;
         for (i, f) in fields.iter().enumerate() {
             let prev = by_name.insert(f.name.clone(), i);
             assert!(prev.is_none(), "duplicate field name: {}", f.name);
+            names_len += varint_len(f.name.len() as u64) + f.name.len();
         }
-        Schema { fields, by_name }
+        Schema {
+            fields,
+            by_name,
+            names_len,
+        }
+    }
+
+    /// The process-wide shared schema with exactly these fields: every
+    /// call with equal fields returns the same `Arc`, so rows decoded from
+    /// the write-ahead log share the schema their operator registers.
+    /// Panics on duplicate names, like [`Schema::new`].
+    pub fn interned<N: Into<String>>(fields: Vec<(N, DataType)>) -> Arc<Schema> {
+        static INTERNED: OnceLock<Mutex<HashMap<Vec<Field>, Arc<Schema>>>> = OnceLock::new();
+        let fields: Vec<Field> = fields
+            .into_iter()
+            .map(|(name, dtype)| Field {
+                name: name.into(),
+                dtype,
+            })
+            .collect();
+        let mut interned = INTERNED.get_or_init(Mutex::default).lock();
+        if let Some(schema) = interned.get(&fields) {
+            return Arc::clone(schema);
+        }
+        let schema = Arc::new(Schema::from_fields(fields.clone()));
+        interned.insert(fields, Arc::clone(&schema));
+        schema
     }
 
     /// The empty schema.
     pub fn empty() -> Schema {
-        Schema {
-            fields: Vec::new(),
-            by_name: HashMap::new(),
-        }
+        Schema::from_fields(Vec::new())
+    }
+
+    /// Bytes the field names take in the self-describing codec.
+    pub(crate) fn encoded_names_len(&self) -> usize {
+        self.names_len
     }
 
     /// All fields, in order.
@@ -219,6 +283,42 @@ mod tests {
     fn display_lists_fields() {
         let s = Schema::new(vec![("count", DataType::Int)]);
         assert_eq!(s.to_string(), "(count Int)");
+    }
+
+    #[test]
+    fn interned_schemas_are_shared_by_fields() {
+        let a = Schema::interned(vec![("interned_a", DataType::Int), ("b", DataType::Str)]);
+        let b = Schema::interned(vec![("interned_a", DataType::Int), ("b", DataType::Str)]);
+        let other = Schema::interned(vec![("interned_a", DataType::Float), ("b", DataType::Str)]);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(
+            !Arc::ptr_eq(&a, &other),
+            "a different type is a different schema"
+        );
+        assert_eq!(a.encoded_names_len(), 1 + 10 + 1 + 1);
+    }
+
+    #[test]
+    fn data_type_codes_are_pinned() {
+        // The codes are on disk in every write-ahead-log schema table, so
+        // each one is pinned here: a renumbering fails this test rather
+        // than misreading old logs.
+        let pinned = [
+            (DataType::Bool, 0),
+            (DataType::Int, 1),
+            (DataType::Float, 2),
+            (DataType::Str, 3),
+            (DataType::Timestamp, 4),
+            (DataType::List, 5),
+            (DataType::Struct, 6),
+            (DataType::Bytes, 7),
+            (DataType::Any, 8),
+        ];
+        for (dt, code) in pinned {
+            assert_eq!(dt.code(), code, "{dt:?}");
+            assert_eq!(DataType::from_code(code), Some(dt));
+        }
+        assert_eq!(DataType::from_code(9), None);
     }
 
     #[test]

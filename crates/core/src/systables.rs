@@ -1024,6 +1024,11 @@ mod tests {
             rs.rows()[0][0].as_int().unwrap() >= 1,
             "one partition segment on disk"
         );
+        // The commit's WAL time is split out: one timed phase-1 append.
+        let rs = system
+            .query("SELECT count FROM sys_metrics WHERE name = 'wal_append_us'")
+            .unwrap();
+        assert_eq!(rs.rows(), &[vec![Value::Int(1)]]);
         // Joinable with sys_snapshots: the sealed range bounds the versions
         // a cold start replays, which are exactly the retained ones.
         let rs = system

@@ -18,7 +18,7 @@
 //! `prices` column.
 
 use crate::generator::{AuctionSourceFactory, BidSourceFactory, NexmarkConfig};
-use squery_common::schema::{schema, Schema};
+use squery_common::schema::Schema;
 use squery_common::{DataType, Value};
 use squery_streaming::dag::adapters::NullSinkFactory;
 use squery_streaming::dag::{Stateful, StatefulFactory};
@@ -43,7 +43,7 @@ pub struct Q6Vertices {
 pub fn maxbid_state_schema() -> Arc<Schema> {
     static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
     Arc::clone(SCHEMA.get_or_init(|| {
-        schema(vec![
+        Schema::interned(vec![
             ("seller", DataType::Int),
             ("best", DataType::Float),
             ("open", DataType::Bool),
@@ -56,7 +56,7 @@ pub fn maxbid_state_schema() -> Arc<Schema> {
 pub fn average_state_schema() -> Arc<Schema> {
     static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
     Arc::clone(SCHEMA.get_or_init(|| {
-        schema(vec![
+        Schema::interned(vec![
             ("count", DataType::Int),
             ("total", DataType::Float),
             ("average", DataType::Float),

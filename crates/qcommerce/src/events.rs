@@ -1,6 +1,6 @@
 //! Q-commerce event generation (index-deterministic).
 
-use squery_common::schema::{schema, Schema};
+use squery_common::schema::Schema;
 use squery_common::{DataType, Value};
 use squery_streaming::dag::SourceFactory;
 use squery_streaming::source::{GeneratorSource, Source};
@@ -110,7 +110,7 @@ pub fn category_of_order(o: u64) -> &'static str {
 pub fn order_info_schema() -> Arc<Schema> {
     static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
     Arc::clone(SCHEMA.get_or_init(|| {
-        schema(vec![
+        Schema::interned(vec![
             ("deliveryZone", DataType::Str),
             ("vendorCategory", DataType::Str),
             ("customerLat", DataType::Float),
@@ -125,7 +125,7 @@ pub fn order_info_schema() -> Arc<Schema> {
 pub fn order_state_schema() -> Arc<Schema> {
     static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
     Arc::clone(SCHEMA.get_or_init(|| {
-        schema(vec![
+        Schema::interned(vec![
             ("orderState", DataType::Str),
             ("lateTimestamp", DataType::Timestamp),
         ])
@@ -137,7 +137,7 @@ pub fn order_state_schema() -> Arc<Schema> {
 pub fn rider_location_schema() -> Arc<Schema> {
     static SCHEMA: OnceLock<Arc<Schema>> = OnceLock::new();
     Arc::clone(SCHEMA.get_or_init(|| {
-        schema(vec![
+        Schema::interned(vec![
             ("lat", DataType::Float),
             ("lon", DataType::Float),
             ("updated", DataType::Timestamp),

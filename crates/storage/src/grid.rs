@@ -202,11 +202,11 @@ impl Grid {
         let recovery = manager.recover(self.partitioner.partition_count() as usize)?;
         let partitions = self.partitioner.partition_count() as usize;
         let mut restored_stores = 0u64;
-        for (op, store_rec) in &recovery.stores {
+        for (op, store_rec) in recovery.stores {
             // Segment directories are named by operator, so recovery can
             // recreate the store exactly as a live deployment would.
-            let store = self.snapshot_store(op);
-            store.attach_wal(manager.store_wal(op, partitions));
+            let store = self.snapshot_store(&op);
+            store.attach_wal(manager.store_wal(&op, partitions));
             StoreWal::apply_recovery(&store, store_rec);
             restored_stores += 1;
         }

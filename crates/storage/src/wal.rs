@@ -17,15 +17,26 @@
 //!
 //! ```text
 //! [len: u32 LE][crc32(body): u32 LE][body: len bytes]
-//!   body[0]     = kind (0 header, 1 delta, 2 seal)
+//!   body[0]     = kind (0 header, 1 named delta, 2 seal, 3 delta)
 //!   body[1..]   = kind-specific payload
 //! ```
 //!
 //! * `header` — magic `SQWL`, format version, partition id; written once
-//!   when a file is created.
-//! * `delta`  — `ssid`, full/incremental flag, and the codec-encoded
-//!   `(key, Option<value>)` entries of one `write_partition` call.
+//!   when a file is created. Replay reads versions 1 and 2 and rejects any
+//!   other with an error naming both.
+//! * `delta`  — `ssid`, full/incremental flag, the record's schema table
+//!   (each schema's field names and type codes), and the `(key,
+//!   Option<value>)` entries of one `write_partition` call in the
+//!   positional codec (`codec::SchemaTable`): a struct is its schema's
+//!   table index and its values, with no field names; a tombstone is one
+//!   byte. The table is local to the record, so every record decodes on
+//!   its own. Format version 1 wrote kind 1 instead, with field names in
+//!   every struct (the self-describing codec); it still replays.
 //! * `seal`   — `ssid`; only ever written to the manager's `commit.wal`.
+//!
+//! The CRC is CRC-32 IEEE, slice-by-8. Recovery decodes every struct into
+//! the process-wide interned schema with its table entry's fields, which is
+//! the very `Arc` the operator registers.
 //!
 //! ## Crash consistency
 //!
@@ -39,8 +50,9 @@
 //!
 //! Compaction mirrors `SnapshotStore::prune_below`: versions at or below
 //! the prune horizon fold into one full base at the horizon, written to a
-//! `.tmp` sibling and atomically renamed over the segment. A kill before
-//! the rename leaves the old segment intact plus an ignored `.tmp` file.
+//! `.tmp` sibling and atomically renamed over the segment; the frames above
+//! the horizon are copied as they stand, not re-encoded. A kill before the
+//! rename leaves the old segment intact plus an ignored `.tmp` file.
 //!
 //! Fault injection simulates a kill with a *freeze*: once a durability
 //! fault fires, every subsequent append, seal, truncate, and compaction
@@ -50,7 +62,7 @@
 
 use crate::locks::ClassedMutex;
 use crate::snapshot::SnapshotStore;
-use squery_common::codec;
+use squery_common::codec::{self, SchemaTable};
 use squery_common::fault::{FaultAction, FaultInjector};
 use squery_common::lockorder::LockClass;
 use squery_common::metrics::SharedHistogram;
@@ -65,10 +77,20 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 const MAGIC: &[u8; 4] = b"SQWL";
-const FORMAT_VERSION: u16 = 1;
+/// Version 2 adds positional delta records; version-1 files (named deltas
+/// only) still replay.
+const FORMAT_VERSION: u16 = 2;
+const READ_VERSIONS: [u16; 2] = [1, FORMAT_VERSION];
+const FRAME_HEADER: usize = 8;
 const REC_HEADER: u8 = 0;
-const REC_DELTA: u8 = 1;
+/// The self-describing delta of format version 1: field names per struct.
+/// Replayed, never written.
+const REC_DELTA_NAMED: u8 = 1;
 const REC_SEAL: u8 = 2;
+/// The positional delta: one schema table per record.
+const REC_DELTA: u8 = 3;
+/// An entry's value slot holding a removal; never a codec value tag.
+const TOMBSTONE: u8 = 0xFF;
 /// Sanity ceiling for one record body; anything larger is treated as a
 /// corrupt length prefix.
 const MAX_RECORD: u32 = 64 << 20;
@@ -93,95 +115,170 @@ pub enum FsyncMode {
     OnCommit,
 }
 
-fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    0xEDB8_8320 ^ (crc >> 1)
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
+const CRC_POLY: u32 = 0xEDB8_8320;
+/// Slice-by-8 lookup tables for the reflected IEEE CRC-32: `CRC_TABLES[0]`
+/// is the classic bytewise table, and `CRC_TABLES[k][b]` advances byte `b`
+/// through `k` further zero bytes, so eight table reads fold eight input
+/// bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                CRC_POLY ^ (crc >> 1)
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
+/// Start a record of `kind`: the frame header is reserved here and filled
+/// in by [`finish_record`] once the body is complete, so a record is
+/// encoded straight into the buffer that is written.
+fn start_record(kind: u8, body_hint: usize) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(FRAME_HEADER + 1 + body_hint);
+    rec.extend_from_slice(&[0; FRAME_HEADER]);
+    rec.push(kind);
+    rec
+}
+
+/// Fill in the length and CRC of a record built by [`start_record`].
+fn finish_record(mut rec: Vec<u8>) -> Vec<u8> {
+    let len = (rec.len() - FRAME_HEADER) as u32;
+    let crc = crc32(&rec[FRAME_HEADER..]);
+    rec[..4].copy_from_slice(&len.to_le_bytes());
+    rec[4..8].copy_from_slice(&crc.to_le_bytes());
+    rec
 }
 
 /// Parse one frame at the head of `buf`: `Some((body, bytes_consumed))` if
 /// the length is sane and the CRC matches.
 fn parse_frame(buf: &[u8]) -> Option<(&[u8], usize)> {
-    if buf.len() < 8 {
+    if buf.len() < FRAME_HEADER {
         return None;
     }
     let len = u32::from_le_bytes(buf[..4].try_into().unwrap_or([0; 4])) as usize;
-    if len == 0 || len > MAX_RECORD as usize || buf.len() < 8 + len {
+    if len == 0 || len > MAX_RECORD as usize || buf.len() < FRAME_HEADER + len {
         return None;
     }
     let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap_or([0; 4]));
-    let body = &buf[8..8 + len];
+    let body = &buf[FRAME_HEADER..FRAME_HEADER + len];
     if crc32(body) != crc {
         return None;
     }
-    Some((body, 8 + len))
+    Some((body, FRAME_HEADER + len))
 }
 
-fn header_body(pid: u32) -> Vec<u8> {
-    let mut body = Vec::with_capacity(11);
-    body.push(REC_HEADER);
-    body.extend_from_slice(MAGIC);
-    body.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    body.extend_from_slice(&pid.to_le_bytes());
-    body
+fn header_record(pid: u32) -> Vec<u8> {
+    let mut rec = start_record(REC_HEADER, 10);
+    rec.extend_from_slice(MAGIC);
+    rec.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    rec.extend_from_slice(&pid.to_le_bytes());
+    finish_record(rec)
 }
 
-fn delta_body(ssid: u64, full: bool, entries: &[(Value, Option<Value>)]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    body.push(REC_DELTA);
-    body.extend_from_slice(&ssid.to_le_bytes());
-    body.push(u8::from(full));
-    body.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+/// Check a header record body (`what` names the file in errors): the
+/// magic, a format version this build reads, and — for a segment — its
+/// partition id.
+fn check_header(body: &[u8], pid: Option<u32>, what: &str, path: &Path) -> SqResult<()> {
+    if body[0] != REC_HEADER
+        || body.len() < 11
+        || &body[1..5] != MAGIC
+        || pid.is_some_and(|pid| u32::from_le_bytes([body[7], body[8], body[9], body[10]]) != pid)
+    {
+        return Err(SqError::Storage(format!(
+            "WAL {what} {path:?} has a bad header record"
+        )));
+    }
+    let version = u16::from_le_bytes([body[5], body[6]]);
+    if !READ_VERSIONS.contains(&version) {
+        return Err(SqError::Storage(format!(
+            "WAL {what} {path:?} has format version {version}; \
+             this build reads versions {READ_VERSIONS:?}"
+        )));
+    }
+    Ok(())
+}
+
+/// One positional DELTA record, framed: the body is `ssid`, the full flag,
+/// the record's own [`SchemaTable`], the entry count, then each entry's key
+/// and value (or [`TOMBSTONE`]) in the positional codec.
+///
+/// The entries are encoded in one pass that also collects the table, which
+/// is then inserted in front of them: one in-cache shift of the encoded
+/// bytes instead of a second walk over the values.
+fn delta_record(ssid: u64, full: bool, entries: &[WalEntry]) -> Vec<u8> {
+    let mut rec = start_record(REC_DELTA, 64 + entries.len() * 48);
+    rec.extend_from_slice(&ssid.to_le_bytes());
+    rec.push(u8::from(full));
+    let table_at = rec.len();
+    rec.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    let mut table = SchemaTable::default();
     for (key, value) in entries {
-        body.extend_from_slice(&codec::encode(key));
+        table.encode_value(key, &mut rec);
         match value {
-            Some(v) => {
-                body.push(1);
-                body.extend_from_slice(&codec::encode(v));
-            }
-            None => body.push(0),
+            Some(v) => table.encode_value(v, &mut rec),
+            None => rec.push(TOMBSTONE),
         }
     }
-    body
+    let mut head = Vec::new();
+    table.encode_into(&mut head);
+    rec.splice(table_at..table_at, head);
+    finish_record(rec)
 }
 
 /// Seal-record body. The original format was 9 bytes `[tag, ssid]`; the
 /// watermark and wall-clock seal stamp extend it to 25 bytes. Recovery
 /// reads only the prefix it understands, so old logs replay under new code
 /// (freshness recovers as zero = unknown) and vice versa.
-fn seal_body(ssid: u64, watermark_us: u64, sealed_at_us: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(25);
-    body.push(REC_SEAL);
-    body.extend_from_slice(&ssid.to_le_bytes());
-    body.extend_from_slice(&watermark_us.to_le_bytes());
-    body.extend_from_slice(&sealed_at_us.to_le_bytes());
-    body
+fn seal_record(ssid: u64, watermark_us: u64, sealed_at_us: u64) -> Vec<u8> {
+    let mut rec = start_record(REC_SEAL, 24);
+    rec.extend_from_slice(&ssid.to_le_bytes());
+    rec.extend_from_slice(&watermark_us.to_le_bytes());
+    rec.extend_from_slice(&sealed_at_us.to_le_bytes());
+    finish_record(rec)
 }
 
 fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> SqResult<&'a [u8]> {
@@ -193,41 +290,65 @@ fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> SqResult<&'a [u8]> {
     Ok(head)
 }
 
-/// One decoded delta record.
-struct DeltaRecord {
-    ssid: u64,
-    full: bool,
-    entries: Vec<(Value, Option<Value>)>,
+fn take_u32(buf: &mut &[u8]) -> SqResult<u32> {
+    let b = take_bytes(buf, 4)?;
+    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-fn decode_delta(mut body: &[u8]) -> SqResult<DeltaRecord> {
-    let ssid = u64::from_le_bytes(
-        take_bytes(&mut body, 8)?
-            .try_into()
-            .map_err(|_| SqError::Storage("bad delta ssid".into()))?,
-    );
-    let full = take_bytes(&mut body, 1)?[0] != 0;
-    let count = u32::from_le_bytes(
-        take_bytes(&mut body, 4)?
-            .try_into()
-            .map_err(|_| SqError::Storage("bad delta count".into()))?,
-    ) as usize;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let key = codec::decode_from(&mut body)?;
-        let has = take_bytes(&mut body, 1)?[0] != 0;
-        let value = if has {
-            Some(codec::decode_from(&mut body)?)
-        } else {
-            None
-        };
-        entries.push((key, value));
+/// The `(ssid, full)` every delta body (either kind) starts with, read
+/// without decoding its entries.
+fn delta_head(body: &[u8]) -> SqResult<(u64, bool)> {
+    if body.len() < 10 {
+        return Err(SqError::Storage("truncated WAL delta header".into()));
     }
-    Ok(DeltaRecord {
-        ssid,
-        full,
-        entries,
-    })
+    let ssid = u64::from_le_bytes(body[1..9].try_into().unwrap_or([0; 8]));
+    Ok((ssid, body[9] != 0))
+}
+
+/// Decode the entries of a delta body of either kind. A malformed byte —
+/// a struct whose values do not match its schema's field count among them
+/// — is a `SqError::Storage`, never a panic: the record passed its CRC, so
+/// the damage is in what was written.
+fn decode_entries(body: &[u8]) -> SqResult<Vec<WalEntry>> {
+    let corrupt = |e: SqError| SqError::Storage(format!("corrupt WAL delta record: {e}"));
+    let mut buf = body.get(10..).unwrap_or_default();
+    let table = match body[0] {
+        REC_DELTA => Some(SchemaTable::decode_from(&mut buf).map_err(corrupt)?),
+        _ => None,
+    };
+    let count = take_u32(&mut buf)? as usize;
+    let mut entries = Vec::with_capacity(count.min(buf.len()));
+    for _ in 0..count {
+        let entry = match &table {
+            Some(table) => {
+                let key = table.decode_value(&mut buf).map_err(corrupt)?;
+                let value = if buf.first() == Some(&TOMBSTONE) {
+                    buf = &buf[1..];
+                    None
+                } else {
+                    Some(table.decode_value(&mut buf).map_err(corrupt)?)
+                };
+                (key, value)
+            }
+            None => {
+                let key = codec::decode_from(&mut buf).map_err(corrupt)?;
+                let value = if take_bytes(&mut buf, 1)?[0] != 0 {
+                    Some(codec::decode_from(&mut buf).map_err(corrupt)?)
+                } else {
+                    None
+                };
+                (key, value)
+            }
+        };
+        entries.push(entry);
+    }
+    if !buf.is_empty() {
+        return Err(SqError::Storage(format!(
+            "corrupt WAL delta record: {} bytes after its last entry",
+            buf.len()
+        )));
+    }
+    Ok(entries)
 }
 
 /// Counters the WAL feeds once telemetry is attached.
@@ -239,6 +360,8 @@ struct WalMetrics {
     compactions: Counter,
     torn: Counter,
     recover_us: SharedHistogram,
+    append_us: SharedHistogram,
+    compact_us: SharedHistogram,
 }
 
 impl WalMetrics {
@@ -251,6 +374,8 @@ impl WalMetrics {
             compactions: registry.counter("wal_compactions_total", &[]),
             torn: registry.counter("wal_torn_truncations_total", &[]),
             recover_us: registry.histogram("wal_recover_us", &[]),
+            append_us: registry.histogram("wal_append_us", &[]),
+            compact_us: registry.histogram("wal_compact_us", &[]),
         }
     }
 }
@@ -428,8 +553,7 @@ impl StoreWal {
             seg.file = Some(file);
         } else {
             seg.file = Some(file);
-            let rec = frame(&header_body(pid));
-            self.write_record(seg, &rec)?;
+            self.write_record(seg, &header_record(pid))?;
             seg.sealed_len = seg.len;
         }
         Ok(())
@@ -458,11 +582,12 @@ impl StoreWal {
         if self.shared.is_frozen() {
             return Ok(());
         }
+        let start = self.shared.metrics().map(|_| Instant::now());
         let action = self
             .shared
             .injector()
             .and_then(|i| i.on_wal_append(&self.name, ssid, pid));
-        let rec = frame(&delta_body(ssid, full, entries));
+        let rec = delta_record(ssid, full, entries);
         let mut seg = self.segs[pid as usize].lock();
         self.open_segment(&mut seg, pid)?;
         match action {
@@ -484,6 +609,9 @@ impl StoreWal {
                 self.write_record(&mut seg, &rec)?;
                 seg.pending.insert(ssid);
                 seg.dirty = true;
+                if let (Some(m), Some(start)) = (self.shared.metrics(), start) {
+                    m.append_us.record(start.elapsed().as_micros() as u64);
+                }
                 Ok(())
             }
         }
@@ -557,46 +685,52 @@ impl StoreWal {
     }
 
     fn compact_segment(&self, seg: &mut Segment, pid: u32, horizon: u64) -> SqResult<()> {
+        let start = Instant::now();
         let path = self.seg_path(pid);
         let bytes = std::fs::read(&path)
             .map_err(|e| SqError::Storage(format!("WAL read {path:?} failed: {e}")))?;
         let sealed_slice = &bytes[..seg.sealed_len.min(bytes.len() as u64) as usize];
-        // Replay our own writes; any parse failure here is a program error
+        // Index our own writes; any parse failure here is a program error
         // surfaced as hard corruption, never silently dropped.
-        let mut folded: HashMap<Value, Option<Value>> = HashMap::new();
-        let mut kept: Vec<(u64, bool, Vec<WalEntry>)> = Vec::new();
+        let mut deltas: Vec<DeltaFrame> = Vec::new();
         let mut off = 0usize;
         while off < sealed_slice.len() {
             let (body, used) = parse_frame(&sealed_slice[off..]).ok_or_else(|| {
                 SqError::Storage(format!("corrupt WAL segment {path:?} during compaction"))
             })?;
+            if matches!(body[0], REC_DELTA | REC_DELTA_NAMED) {
+                let (ssid, full) = delta_head(body)?;
+                deltas.push(DeltaFrame {
+                    at: off..off + used,
+                    ssid,
+                    full,
+                });
+            }
             off += used;
-            if body[0] != REC_DELTA {
-                continue;
+        }
+        let kept: Vec<&DeltaFrame> = deltas.iter().filter(|d| d.ssid > horizon).collect();
+        let mut folded: HashMap<Value, Option<Value>> = HashMap::new();
+        for d in deltas.iter().filter(|d| d.ssid <= horizon) {
+            if d.full {
+                folded.clear();
             }
-            let delta = decode_delta(&body[1..])?;
-            if delta.ssid <= horizon {
-                if delta.full {
-                    folded.clear();
-                }
-                for (k, v) in delta.entries {
-                    folded.insert(k, v);
-                }
-            } else {
-                kept.push((delta.ssid, delta.full, delta.entries));
-            }
+            let body = &sealed_slice[d.at.start + FRAME_HEADER..d.at.end];
+            folded.extend(decode_entries(body)?);
         }
         folded.retain(|_, v| v.is_some());
-        let mut base: Vec<(Value, Option<Value>)> = folded.into_iter().collect();
+        let mut base: Vec<WalEntry> = folded.into_iter().collect();
         base.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut out = header_record(pid);
+        out.extend_from_slice(&delta_record(horizon, true, &base));
+        // Frames above the horizon are copied as they stand.
+        for d in &kept {
+            out.extend_from_slice(&sealed_slice[d.at.clone()]);
+        }
+        let mut sealed = BTreeSet::new();
+        sealed.insert(horizon);
+        sealed.extend(kept.iter().map(|d| d.ssid));
 
         let tmp = path.with_extension("wal.tmp");
-        let mut out = Vec::new();
-        out.extend_from_slice(&frame(&header_body(pid)));
-        out.extend_from_slice(&frame(&delta_body(horizon, true, &base)));
-        for (ssid, full, entries) in &kept {
-            out.extend_from_slice(&frame(&delta_body(*ssid, *full, entries)));
-        }
         {
             let mut f = File::create(&tmp)
                 .map_err(|e| SqError::Storage(format!("WAL create {tmp:?} failed: {e}")))?;
@@ -625,9 +759,6 @@ impl StoreWal {
         seg.file = None;
         seg.len = out.len() as u64;
         seg.sealed_len = seg.len;
-        let mut sealed = BTreeSet::new();
-        sealed.insert(horizon);
-        sealed.extend(kept.iter().map(|(s, _, _)| *s));
         seg.sealed = sealed;
         self.last_compaction_us.store(
             self.shared.started.elapsed().as_micros() as u64,
@@ -635,6 +766,7 @@ impl StoreWal {
         );
         if let Some(m) = self.shared.metrics() {
             m.compactions.inc();
+            m.compact_us.record(start.elapsed().as_micros() as u64);
         }
         Ok(())
     }
@@ -728,6 +860,13 @@ impl StoreWal {
     }
 }
 
+/// Where one delta frame sits in a segment, and its head.
+struct DeltaFrame {
+    at: std::ops::Range<usize>,
+    ssid: u64,
+    full: bool,
+}
+
 struct SegmentReplay {
     versions: Vec<(u64, bool, Vec<WalEntry>)>,
     sealed: BTreeSet<u64>,
@@ -776,29 +915,24 @@ fn replay_segment(
             return Ok(out);
         };
         if first {
-            if body[0] != REC_HEADER
-                || body.len() < 11
-                || &body[1..5] != MAGIC
-                || u32::from_le_bytes(body[7..11].try_into().unwrap_or([0; 4])) != pid
-            {
-                return Err(SqError::Storage(format!(
-                    "WAL segment {path:?} has a bad header record"
-                )));
-            }
+            check_header(body, Some(pid), "segment", path)?;
             first = false;
             off += used;
             out.keep_len = off as u64;
             continue;
         }
         match body[0] {
-            REC_DELTA => {
-                let delta = decode_delta(&body[1..])?;
-                off += used;
-                if sealed_rounds.contains(&delta.ssid) {
-                    out.sealed.insert(delta.ssid);
-                    out.versions.push((delta.ssid, delta.full, delta.entries));
-                    out.keep_len = off as u64;
+            REC_DELTA | REC_DELTA_NAMED => {
+                let (ssid, full) = delta_head(body)?;
+                if sealed_rounds.contains(&ssid) {
+                    let entries = decode_entries(body).map_err(|e| {
+                        SqError::Storage(format!("WAL segment {path:?} at offset {off}: {e}"))
+                    })?;
+                    out.sealed.insert(ssid);
+                    out.versions.push((ssid, full, entries));
+                    out.keep_len = (off + used) as u64;
                 }
+                off += used;
                 // An unsealed delta is a discarded round's leftover; keep
                 // scanning (later sealed rounds may follow it only if an
                 // abort's truncate was lost, which recovery tolerates).
@@ -947,7 +1081,7 @@ impl WalManager {
         }
         log.file = Some(file);
         if !existed {
-            let rec = frame(&header_body(u32::MAX));
+            let rec = header_record(u32::MAX);
             log.file
                 .as_mut()
                 .expect("just set")
@@ -992,7 +1126,7 @@ impl WalManager {
                 store.mark_sealed(ssid)?;
             }
         }
-        let rec = frame(&seal_body(ssid, watermark_us, sealed_at_us));
+        let rec = seal_record(ssid, watermark_us, sealed_at_us);
         {
             let mut log = self.commit.lock();
             self.open_commit_log(&mut log)?;
@@ -1058,11 +1192,7 @@ impl WalManager {
                 break; // torn tail: the last seal never completed
             };
             if first {
-                if body[0] != REC_HEADER || body.len() < 11 || &body[1..5] != MAGIC {
-                    return Err(SqError::Storage(format!(
-                        "WAL commit log {path:?} has a bad header record"
-                    )));
-                }
+                check_header(body, None, "commit log", &path)?;
                 first = false;
             } else if body[0] == REC_SEAL && body.len() >= 9 {
                 let ssid = u64::from_le_bytes(body[1..9].try_into().unwrap_or([0; 8]));
@@ -1146,10 +1276,11 @@ impl WalManager {
 /// (not in `snapshot.rs`) so the WAL protocol is reviewable in one module.
 impl StoreWal {
     /// Apply a recovered version set to `store`, bypassing the WAL (the
-    /// records are already on disk).
-    pub fn apply_recovery(store: &SnapshotStore, recovery: &StoreRecovery) {
-        for (ssid, pid, full, entries) in &recovery.versions {
-            store.load_recovered(*ssid, *pid, *full, entries.clone());
+    /// records are already on disk). The decoded entries move into the
+    /// store as they are.
+    pub fn apply_recovery(store: &SnapshotStore, recovery: StoreRecovery) {
+        for (ssid, pid, full, entries) in recovery.versions {
+            store.load_recovered(ssid, pid, full, entries);
         }
         if let Some(&min) = recovery.sealed.iter().next() {
             store.note_recovered_floor(min);
@@ -1172,6 +1303,33 @@ mod tests {
         dir
     }
 
+    /// Frame a record body the way every record is framed.
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut rec = start_record(body[0], body.len());
+        rec.extend_from_slice(&body[1..]);
+        finish_record(rec)
+    }
+
+    /// A kind-1 (self-describing) delta body, as format version 1 wrote
+    /// it: field names per struct and a presence byte per value.
+    fn delta_body(ssid: u64, full: bool, entries: &[(Value, Option<Value>)]) -> Vec<u8> {
+        let mut body = vec![REC_DELTA_NAMED];
+        body.extend_from_slice(&ssid.to_le_bytes());
+        body.push(u8::from(full));
+        body.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for (key, value) in entries {
+            body.extend_from_slice(&codec::encode(key));
+            match value {
+                Some(v) => {
+                    body.push(1);
+                    body.extend_from_slice(&codec::encode(v));
+                }
+                None => body.push(0),
+            }
+        }
+        body
+    }
+
     fn entries(items: &[(i64, i64)]) -> Vec<(Value, Option<Value>)> {
         items
             .iter()
@@ -1184,6 +1342,209 @@ mod tests {
         // IEEE 802.3 reference values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The plain bytewise CRC-32 the slice-by-8 form must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    #[test]
+    fn slice_by_8_crc_matches_bytewise_at_every_length_and_alignment() {
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &data[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    /// A store whose rows use two schemas, nested structs, lists, NULL
+    /// fields and tombstones.
+    fn mixed_entries() -> Vec<WalEntry> {
+        use squery_common::schema::Schema;
+        use squery_common::DataType;
+        let point = Schema::interned(vec![
+            ("walLat", DataType::Float),
+            ("walLon", DataType::Float),
+        ]);
+        let order = Schema::interned(vec![
+            ("walZone", DataType::Str),
+            ("walAt", DataType::Struct),
+            ("walLegs", DataType::List),
+            ("walNote", DataType::Any),
+        ]);
+        let at = Value::record(&point, vec![Value::Float(52.0), Value::Null]);
+        vec![
+            (
+                Value::str("o1"),
+                Some(Value::record(
+                    &order,
+                    vec![
+                        Value::str("north"),
+                        at.clone(),
+                        Value::list(vec![at.clone(), Value::Int(2)]),
+                        Value::Null,
+                    ],
+                )),
+            ),
+            (Value::Int(7), Some(at)),
+            (Value::str("gone"), None),
+            (Value::Int(8), Some(Value::Null)),
+        ]
+    }
+
+    #[test]
+    fn positional_records_roundtrip_two_schemas_and_tombstones() {
+        let dir = tmpdir("positional");
+        let mgr = WalManager::new(&dir, FsyncMode::Never, 4);
+        let wal = mgr.store_wal("orders", 1);
+        let written = mixed_entries();
+        wal.append(1, 0, false, &written).unwrap();
+        mgr.seal_round(1).unwrap();
+
+        let rec = WalManager::new(&dir, FsyncMode::Never, 4)
+            .recover(1)
+            .unwrap();
+        let (_, store_rec) = &rec.stores[0];
+        let back = &store_rec.versions[0].3;
+        assert_eq!(back, &written);
+        for ((_, w), (_, b)) in written.iter().zip(back) {
+            if let (Some(Value::Struct(w)), Some(Value::Struct(b))) = (w, b) {
+                assert!(
+                    Arc::ptr_eq(w.schema(), b.schema()),
+                    "decoded into the interned schema"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_segment_with_named_deltas_still_recovers() {
+        let dir = tmpdir("v1-segment");
+        {
+            let mgr = WalManager::new(&dir, FsyncMode::Never, 4);
+            let wal = mgr.store_wal("orders", 1);
+            wal.append(1, 0, true, &entries(&[(1, 10)])).unwrap();
+            mgr.seal_round(1).unwrap();
+            mgr.seal_round(2).unwrap();
+        }
+        // Rewrite the segment as format version 1 wrote it: a version-1
+        // header, then kind-1 deltas with field names in every struct.
+        let seg = dir.join("orders").join("part-0.wal");
+        let mut header = vec![REC_HEADER];
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&1u16.to_le_bytes());
+        header.extend_from_slice(&0u32.to_le_bytes());
+        let mut bytes = frame(&header);
+        bytes.extend_from_slice(&frame(&delta_body(1, true, &entries(&[(1, 10)]))));
+        bytes.extend_from_slice(&frame(&delta_body(2, false, &mixed_entries())));
+        std::fs::write(&seg, &bytes).unwrap();
+
+        let rec = WalManager::new(&dir, FsyncMode::Never, 4)
+            .recover(1)
+            .unwrap();
+        let (_, store_rec) = &rec.stores[0];
+        let versions: Vec<_> = store_rec
+            .versions
+            .iter()
+            .map(|(s, _, f, e)| (*s, *f, e))
+            .collect();
+        assert_eq!(versions.len(), 2);
+        assert_eq!(versions[0], (1, true, &entries(&[(1, 10)])));
+        assert_eq!(versions[1], (2, false, &mixed_entries()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_format_version_is_a_clear_error() {
+        let dir = tmpdir("bad-version");
+        {
+            let mgr = WalManager::new(&dir, FsyncMode::Never, 4);
+            let wal = mgr.store_wal("orders", 1);
+            wal.append(1, 0, true, &entries(&[(1, 10)])).unwrap();
+            mgr.seal_round(1).unwrap();
+        }
+        let seg = dir.join("orders").join("part-0.wal");
+        let mut bytes = std::fs::read(&seg).unwrap();
+        let (header, used) = parse_frame(&bytes).unwrap();
+        let mut header = header.to_vec();
+        header[5..7].copy_from_slice(&9u16.to_le_bytes());
+        bytes.splice(..used, frame(&header));
+        std::fs::write(&seg, &bytes).unwrap();
+
+        let err = WalManager::new(&dir, FsyncMode::Never, 4)
+            .recover(1)
+            .unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("format version 9") && msg.contains("[1, 2]"),
+            "{msg}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn value_count_mismatch_in_a_sealed_record_is_a_hard_error() {
+        use squery_common::schema::Schema;
+        use squery_common::DataType;
+        let pair = Schema::interned(vec![("walA", DataType::Int), ("walB", DataType::Int)]);
+        let row = vec![(
+            Value::Int(1),
+            Some(Value::record(&pair, vec![Value::Int(5), Value::Int(6)])),
+        )];
+        // The record's schema table declares one field fewer, or one more,
+        // than each struct carries; the CRC is valid either way.
+        for declared in [1usize, 3] {
+            let dir = tmpdir(&format!("arity-{declared}"));
+            {
+                let mgr = WalManager::new(&dir, FsyncMode::Never, 4);
+                let wal = mgr.store_wal("orders", 1);
+                wal.append(1, 0, true, &row).unwrap();
+                mgr.seal_round(1).unwrap();
+                wal.append(2, 0, false, &entries(&[(2, 20)])).unwrap();
+                mgr.seal_round(2).unwrap();
+            }
+            let seg = dir.join("orders").join("part-0.wal");
+            let bytes = std::fs::read(&seg).unwrap();
+            let (_, header_len) = parse_frame(&bytes).unwrap();
+            let (body, used) = parse_frame(&bytes[header_len..]).unwrap();
+            // body: kind, ssid, full, then the table: 1 schema of 2 fields.
+            assert_eq!(&body[10..12], &[1, 2]);
+            let mut body = body.to_vec();
+            body[11] = declared as u8;
+            if declared == 3 {
+                let extra = [4, b'w', b'a', b'l', b'C', DataType::Int.code()];
+                let end = 12 + (1 + 4 + 1) * 2;
+                body.splice(end..end, extra);
+            } else {
+                body.drain(12 + 6..12 + 12);
+            }
+            let mut out = bytes[..header_len].to_vec();
+            out.extend_from_slice(&frame(&body));
+            out.extend_from_slice(&bytes[header_len + used..]);
+            std::fs::write(&seg, &out).unwrap();
+
+            let err = WalManager::new(&dir, FsyncMode::Never, 4)
+                .recover(1)
+                .unwrap_err();
+            assert!(matches!(err, SqError::Storage(_)), "{err:?}");
+            assert!(
+                err.to_string().contains("corrupt WAL delta record"),
+                "{err}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

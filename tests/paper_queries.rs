@@ -315,3 +315,53 @@ fn pushdown_hides_no_decode_and_limit_scans_one_slice() {
     assert!(expected < ORDERS / 20, "a slice or two, not the table");
     job.stop();
 }
+
+/// A cold start from the write-ahead log restores the monitoring state with
+/// the registered schemas: every recovered `orderinfo` row shares
+/// `order_info_schema()` (so scans read it by position) and holds what it
+/// held before the restart.
+#[test]
+fn cold_start_rows_share_the_registered_schema() {
+    let dir = std::env::temp_dir().join(format!("squery-cold-schema-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || {
+        SQueryConfig::default()
+            .with_state(StateConfig::live_and_snapshot())
+            .with_wal_dir(&dir)
+    };
+    let rendered = |system: &SQuery, ssid| {
+        let store = system.grid().get_snapshot_store("orderinfo").unwrap();
+        let (rows, _) = store.scan_at(ssid).unwrap();
+        let mut out: Vec<String> = rows.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        out.sort();
+        (rows, out)
+    };
+    let (before, want) = {
+        let system = SQuery::new(config()).unwrap();
+        let cfg = QCommerceConfig {
+            orders: 500,
+            riders: 50,
+            events_per_instance: 500 * ORDER_STATES.len() as u64,
+            rate_per_instance: None,
+            prefill_passes: 0,
+        };
+        let mut job = system.submit(order_monitoring_job(cfg, 1, 2)).unwrap();
+        job.drain_and_checkpoint(Duration::from_secs(120)).unwrap();
+        job.stop();
+        let want = system.latest_snapshot().unwrap();
+        (rendered(&system, want).1, want)
+    };
+
+    let system = SQuery::new(config()).unwrap();
+    assert_eq!(system.latest_snapshot(), Some(want));
+    let (rows, after) = rendered(&system, want);
+    assert_eq!(rows.len(), 500);
+    assert_eq!(after, before);
+    let registered = squery_qcommerce::events::order_info_schema();
+    for (_, value) in &rows {
+        let row = value.as_struct().unwrap();
+        assert!(std::sync::Arc::ptr_eq(row.schema(), &registered));
+    }
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+}
