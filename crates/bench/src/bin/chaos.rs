@@ -55,12 +55,18 @@ fn main() {
                 faults += report.faults.len();
                 restarts += report.restarts;
                 retries += report.checkpoint_retries;
+                let points: Vec<String> = report
+                    .faults
+                    .iter()
+                    .map(|f| format!("{}/{}", f.point.as_str(), f.action.as_str()))
+                    .collect();
                 println!(
-                    "seed {seed}: ok ({} faults, {} restarts, {} retries, {} aborted rounds)",
+                    "seed {seed}: ok ({} faults, {} restarts, {} retries, {} aborted rounds) [{}]",
                     report.faults.len(),
                     report.restarts,
                     report.checkpoint_retries,
-                    report.aborted_checkpoints
+                    report.aborted_checkpoints,
+                    points.join(" ")
                 );
             }
             Err(e) => {

@@ -97,6 +97,9 @@ pub enum InjectionPoint {
     WalSealed,
     /// WAL segment compaction after `prune_below` (kill-mid-compaction).
     WalCompact,
+    /// A stateful instance's background snapshot writer, mid-capture:
+    /// before the last partition write of its round.
+    SnapshotCapture,
 }
 
 impl InjectionPoint {
@@ -113,6 +116,7 @@ impl InjectionPoint {
             InjectionPoint::WalSeal => "wal_seal",
             InjectionPoint::WalSealed => "wal_sealed",
             InjectionPoint::WalCompact => "wal_compact",
+            InjectionPoint::SnapshotCapture => "snapshot_capture",
         }
     }
 }
@@ -265,14 +269,16 @@ impl FaultPlan {
 
     /// Sample a randomized plan from `seed`: 1..=`max_fatal` fatal faults
     /// with crash points spread across checkpoint phases (worker record,
-    /// post-ack, ack drop, phase-2 failure, coordinator kill) plus up to
-    /// `max_benign` stalls/delays. The same seed always yields the same plan.
+    /// post-ack, ack drop, phase-2 failure, coordinator kill, snapshot
+    /// writer death) plus up to `max_benign` stalls/delays (worker,
+    /// ack, replication, snapshot writer). The same seed always yields the
+    /// same plan.
     pub fn seeded(seed: u64, profile: &ChaosProfile) -> FaultPlan {
         let mut rng = SplitMix64::new(seed);
         let mut plan = FaultPlan::new(seed);
         let n_fatal = rng.gen_range(1, u64::from(profile.max_fatal) + 1) as u32;
         for _ in 0..n_fatal {
-            let spec = match rng.gen_range(0, 5) {
+            let spec = match rng.gen_range(0, 6) {
                 0 => FaultSpec {
                     point: InjectionPoint::WorkerRecord,
                     action: FaultAction::PanicWorker,
@@ -306,6 +312,17 @@ impl FaultPlan {
                     },
                     once: true,
                 },
+                5 => FaultSpec {
+                    point: InjectionPoint::SnapshotCapture,
+                    action: FaultAction::PanicWorker,
+                    trigger: FaultTrigger {
+                        at_ssid: Some(rng.gen_range(profile.ssid_range.0, profile.ssid_range.1)),
+                        operator: Some(rng.pick(&profile.operators).clone()),
+                        instance: Some(rng.gen_range(0, u64::from(profile.instances)) as u32),
+                        ..FaultTrigger::default()
+                    },
+                    once: true,
+                },
                 3 => FaultSpec {
                     point: InjectionPoint::Phase2Commit,
                     action: FaultAction::FailCommit,
@@ -330,7 +347,7 @@ impl FaultPlan {
         let n_benign = rng.gen_range(0, u64::from(profile.max_benign) + 1) as u32;
         for _ in 0..n_benign {
             let micros = rng.gen_range(200, 3_000);
-            let spec = match rng.gen_range(0, 3) {
+            let spec = match rng.gen_range(0, 4) {
                 0 => FaultSpec {
                     point: InjectionPoint::WorkerRecord,
                     action: FaultAction::StallWorker { micros },
@@ -338,6 +355,16 @@ impl FaultPlan {
                         at_record: Some(
                             rng.gen_range(profile.record_range.0, profile.record_range.1),
                         ),
+                        operator: Some(rng.pick(&profile.operators).clone()),
+                        ..FaultTrigger::default()
+                    },
+                    once: true,
+                },
+                3 => FaultSpec {
+                    point: InjectionPoint::SnapshotCapture,
+                    action: FaultAction::StallWorker { micros },
+                    trigger: FaultTrigger {
+                        at_ssid: Some(rng.gen_range(profile.ssid_range.0, profile.ssid_range.1)),
                         operator: Some(rng.pick(&profile.operators).clone()),
                         ..FaultTrigger::default()
                     },
@@ -503,6 +530,33 @@ impl FaultInjector {
                 Some(ssid),
                 None,
                 "between checkpoint phase 1 and phase 2".into(),
+            );
+        })
+    }
+
+    /// Writer hook: the background snapshot writer of `operator` instance
+    /// `instance` is mid-capture of round `ssid` (about to make its last
+    /// partition write).
+    pub fn on_snapshot_capture(
+        &self,
+        operator: &str,
+        instance: u32,
+        ssid: u64,
+    ) -> Option<FaultAction> {
+        self.fire(InjectionPoint::SnapshotCapture, |t| {
+            t.at_ssid.is_none_or(|s| s == ssid)
+                && t.operator.as_deref().is_none_or(|o| o == operator)
+                && t.instance.is_none_or(|i| i == instance)
+        })
+        .inspect(|&action| {
+            self.record(
+                action,
+                InjectionPoint::SnapshotCapture,
+                Some(operator),
+                Some(instance),
+                Some(ssid),
+                None,
+                "mid-capture, before the last partition write".into(),
             );
         })
     }
@@ -804,6 +858,32 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].point.as_str(), "worker_record");
         assert_eq!(records[0].outcome, "pending");
+    }
+
+    #[test]
+    fn snapshot_capture_trigger_keys_on_operator_and_round() {
+        let plan = FaultPlan::new(0).with(FaultSpec {
+            point: InjectionPoint::SnapshotCapture,
+            action: FaultAction::StallWorker { micros: 5 },
+            trigger: FaultTrigger {
+                at_ssid: Some(3),
+                operator: Some("count".into()),
+                ..FaultTrigger::default()
+            },
+            once: true,
+        });
+        let inj = FaultInjector::new(plan);
+        assert_eq!(inj.on_snapshot_capture("count", 0, 2), None);
+        assert_eq!(inj.on_snapshot_capture("other", 0, 3), None);
+        assert_eq!(
+            inj.on_snapshot_capture("count", 1, 3),
+            Some(FaultAction::StallWorker { micros: 5 })
+        );
+        let records = inj.records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].point.as_str(), "snapshot_capture");
+        assert_eq!(records[0].ssid, Some(3));
+        assert_eq!(records[0].outcome, "absorbed");
     }
 
     #[test]

@@ -39,6 +39,10 @@ pub enum LockClass {
     /// `SnapshotRegistry.committed` — the committed-snapshot deque; taken
     /// inside `in_progress` during phase-2 commit.
     RegistryCommitted,
+    /// A job's phase-1 capture fence (`CaptureFence.round`): a background
+    /// snapshot writer holds it (read) across one partition write, so it
+    /// ranks before every storage lock that write takes.
+    CaptureFence,
     /// `Grid.maps` / `Grid.snapshots` / `Grid.faults` — catalog of named
     /// maps and snapshot stores.
     GridCatalog,
@@ -82,6 +86,10 @@ pub enum LockClass {
     Histogram,
     /// Fault-injector plan/armed state.
     FaultState,
+    /// A state backend's `release` lock, under which a frozen partition's
+    /// handle is dropped (by its snapshot writer, or by the copy-on-write
+    /// copy of a put). A leaf: only memory is freed under it.
+    CaptureRelease,
 }
 
 impl LockClass {
@@ -93,23 +101,25 @@ impl LockClass {
             LockClass::CoreJobs => 2,
             LockClass::RegistryInProgress => 3,
             LockClass::RegistryCommitted => 4,
-            LockClass::GridCatalog => 5,
-            LockClass::PartitionTable => 6,
-            LockClass::Replication => 7,
-            LockClass::WalSegment => 8,
-            LockClass::SnapshotPartition => 9,
-            LockClass::ExecCache => 10,
-            LockClass::KeyStripe => 11,
-            LockClass::PartitionMap => 12,
-            LockClass::MapMeta => 13,
-            LockClass::StatsRing => 14,
-            LockClass::SketchState => 15,
-            LockClass::CheckpointStats => 16,
-            LockClass::Telemetry => 17,
-            LockClass::EventRing => 18,
-            LockClass::SpanShard => 19,
-            LockClass::Histogram => 20,
-            LockClass::FaultState => 21,
+            LockClass::CaptureFence => 5,
+            LockClass::GridCatalog => 6,
+            LockClass::PartitionTable => 7,
+            LockClass::Replication => 8,
+            LockClass::WalSegment => 9,
+            LockClass::SnapshotPartition => 10,
+            LockClass::ExecCache => 11,
+            LockClass::KeyStripe => 12,
+            LockClass::PartitionMap => 13,
+            LockClass::MapMeta => 14,
+            LockClass::StatsRing => 15,
+            LockClass::SketchState => 16,
+            LockClass::CheckpointStats => 17,
+            LockClass::Telemetry => 18,
+            LockClass::EventRing => 19,
+            LockClass::SpanShard => 20,
+            LockClass::Histogram => 21,
+            LockClass::FaultState => 22,
+            LockClass::CaptureRelease => 23,
         }
     }
 
@@ -120,6 +130,7 @@ impl LockClass {
             LockClass::CoreJobs => "CoreJobs",
             LockClass::RegistryInProgress => "RegistryInProgress",
             LockClass::RegistryCommitted => "RegistryCommitted",
+            LockClass::CaptureFence => "CaptureFence",
             LockClass::GridCatalog => "GridCatalog",
             LockClass::PartitionTable => "PartitionTable",
             LockClass::Replication => "Replication",
@@ -137,6 +148,7 @@ impl LockClass {
             LockClass::SpanShard => "SpanShard",
             LockClass::Histogram => "Histogram",
             LockClass::FaultState => "FaultState",
+            LockClass::CaptureRelease => "CaptureRelease",
         }
     }
 }

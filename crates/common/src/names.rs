@@ -44,6 +44,7 @@ pub const METRIC_NAMES: &[&str] = &[
     "snapshot_writes_total",
     "sql_parallel_workers",
     "sql_worker_scan_us",
+    "state_capture_stall_us",
     "state_live_mirror_us",
     "state_snapshot_us",
     "state_updates_total",
@@ -89,6 +90,7 @@ pub const SPAN_KINDS: &[&str] = &[
     "recovery",
     "scan",
     "slice",
+    "snapshot_capture",
     "snapshot_write",
     "sort",
     "stats_sample",

@@ -480,6 +480,35 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_writer_death_aborts_the_round_and_recovers() {
+        // A stateful instance's background writer dies mid-capture of
+        // checkpoint 2: the death counts as a worker death, so the round
+        // aborts at once (no ack timeout) through the abort path, and the
+        // supervisor rolls back; exactly-once and live ≡ snapshot hold.
+        let plan = || {
+            FaultPlan::new(0).with(FaultSpec {
+                point: InjectionPoint::SnapshotCapture,
+                action: FaultAction::PanicWorker,
+                trigger: FaultTrigger {
+                    at_ssid: Some(2),
+                    operator: Some("count".into()),
+                    instance: Some(1),
+                    ..FaultTrigger::default()
+                },
+                once: true,
+            })
+        };
+        let a = run_plan(&quick(), plan()).unwrap();
+        assert_eq!(a.faults.len(), 1);
+        assert_eq!(a.faults[0].point, InjectionPoint::SnapshotCapture);
+        assert_eq!(a.faults[0].outcome, "recovered");
+        assert!(a.restarts >= 1, "supervisor had to act");
+        assert!(a.aborted_checkpoints >= 1, "the torn round aborted");
+        let b = run_plan(&quick(), plan()).unwrap();
+        assert_eq!(a.fingerprint, b.fingerprint, "byte-identical reruns");
+    }
+
+    #[test]
     fn seeded_plans_are_reproducible() {
         let cfg = quick();
         let p1 = FaultPlan::seeded(42, &cfg.profile());

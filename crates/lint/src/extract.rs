@@ -170,6 +170,8 @@ pub fn lock_class_of(file_basename: &str, receiver: &str) -> Option<LockClass> {
         // meaning (the manager's store-WAL map mirrors the grid catalog).
         ("wal.rs", "segs", LockClass::WalSegment),
         ("wal.rs", "commit", LockClass::WalSegment),
+        ("checkpoint.rs", "round", LockClass::CaptureFence),
+        ("state.rs", "release", LockClass::CaptureRelease),
     ];
     for (f, r, c) in qualified {
         if *f == file_basename && *r == receiver {

@@ -28,7 +28,7 @@ use squery_common::telemetry::{Counter, MetricsRegistry};
 use squery_common::{PartitionId, Partitioner, SnapshotId, SqError, SqResult, Value};
 use std::any::Any;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -131,6 +131,9 @@ impl VersionMap {
 #[derive(Default)]
 struct PartitionSnapshots {
     versions: BTreeMap<u64, VersionMap>,
+    /// Ids discarded at or above the prune horizon: a write to one of them
+    /// is refused.
+    discarded: BTreeSet<u64>,
 }
 
 impl PartitionSnapshots {
@@ -321,7 +324,11 @@ impl SnapshotStore {
     /// `full` marks a complete view; otherwise the entries are a delta
     /// against the previous checkpoint, with `None` tombstoning removals.
     /// Writing the same `(ssid, partition)` twice replaces the first attempt
-    /// (coordinator retry).
+    /// (coordinator retry). A write to an id [`SnapshotStore::discard`]
+    /// erased is refused: it could only be a late phase-1 write of an
+    /// aborted round, which would otherwise leave an orphan version that a
+    /// later incremental read merges in. (The checkpoint coordinator's
+    /// capture fence already keeps such writes out; this is the backstop.)
     pub fn write_partition(
         &self,
         ssid: SnapshotId,
@@ -329,6 +336,9 @@ impl SnapshotStore {
         entries: Vec<(Value, Option<Value>)>,
         full: bool,
     ) {
+        if self.is_discarded(ssid) {
+            return;
+        }
         let tel = self.telemetry();
         let start = tel.as_ref().map(|_| Instant::now());
         if let Some(wal) = self.wal.get() {
@@ -352,17 +362,22 @@ impl SnapshotStore {
         let bytes = vm.bytes;
         let _lo = lockorder::acquired(LockClass::SnapshotPartition);
         let mut part = self.parts[pid as usize].write();
+        if part.discarded.contains(&ssid) {
+            return;
+        }
         if let Some(old) = part.versions.insert(ssid, vm) {
             self.approx_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
         }
         self.approx_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Erase an aborted checkpoint attempt everywhere.
+    /// Erase an aborted checkpoint attempt everywhere, and refuse any later
+    /// write to its id.
     pub fn discard(&self, ssid: SnapshotId) {
         for part in &self.parts {
             let _lo = lockorder::acquired(LockClass::SnapshotPartition);
             let mut guard = part.write();
+            guard.discarded.insert(ssid.0);
             if let Some(old) = guard.versions.remove(&ssid.0) {
                 self.approx_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
             }
@@ -371,6 +386,13 @@ impl SnapshotStore {
             wal.discard(ssid.0);
         }
         self.exec_cache_purge(|s| s == ssid);
+    }
+
+    /// Whether `ssid` was discarded (and not yet pruned past): a capture of
+    /// that round wrote nothing that lasts.
+    pub fn is_discarded(&self, ssid: SnapshotId) -> bool {
+        let _lo = lockorder::acquired(LockClass::SnapshotPartition);
+        self.parts[0].read().discarded.contains(&ssid.0)
     }
 
     /// Load one recovered version directly into the partition map,
@@ -523,6 +545,8 @@ impl SnapshotStore {
         let horizon = oldest_retained.0;
         for part in &self.parts {
             let mut guard = part.write();
+            // No round below the horizon is still being captured.
+            guard.discarded = guard.discarded.split_off(&horizon);
             let ids: Vec<u64> = guard
                 .versions
                 .range(..=horizon)
@@ -840,6 +864,28 @@ mod tests {
             "aborted write must not be visible"
         );
         assert_eq!(s.stored_ssids(), vec![SnapshotId(1)]);
+    }
+
+    #[test]
+    fn discarded_ids_refuse_late_writes_until_pruned_past() {
+        let s = store();
+        write_all(&s, 1, vec![(Value::Int(1), Some(Value::Int(10)))], true);
+        s.discard(SnapshotId(2));
+        assert!(s.is_discarded(SnapshotId(2)));
+        assert!(!s.is_discarded(SnapshotId(1)));
+        // A phase-1 write landing after its round's discard is refused.
+        write_all(&s, 2, vec![(Value::Int(1), Some(Value::Int(99)))], false);
+        assert_eq!(s.stored_ssids(), vec![SnapshotId(1)]);
+        write_all(&s, 3, vec![(Value::Int(1), Some(Value::Int(30)))], false);
+        assert_eq!(
+            s.read_at(SnapshotId(3), &Value::Int(1)).unwrap(),
+            Some(Value::Int(30))
+        );
+        s.prune_below(SnapshotId(3));
+        assert!(
+            !s.is_discarded(SnapshotId(2)),
+            "forgotten below the horizon"
+        );
     }
 
     #[test]

@@ -17,10 +17,18 @@
 //! (a crashed worker), the checkpoint aborts: phase-1 writes are discarded
 //! and the registry releases the id — queries keep reading the previous
 //! committed snapshot throughout, as in Figure 1.
+//!
+//! Stateful instances persist their phase-1 state on a background writer
+//! (`crate::state`), which may still be writing when a round aborts. The
+//! job's [`CaptureFence`] orders the two: the round is open from marker
+//! injection until phase 1 ends, each partition write runs inside the
+//! fence, and closing the round waits for the writes in flight. An abort
+//! therefore discards after the round's last write, and no write of the
+//! round lands after the discard.
 
 use crate::worker::{Ack, Shared, SourceCommand};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use squery_common::fault::{backoff_with_jitter, FaultAction};
 use squery_common::lockorder::{self, LockClass};
 use squery_common::telemetry::EventKind;
@@ -90,6 +98,45 @@ impl CheckpointStats {
     }
 }
 
+/// The phase-1 write fence of one job (see the module docs).
+#[derive(Default)]
+pub struct CaptureFence {
+    /// The round whose writes are admitted. A write runs under the read
+    /// lock; closing takes the write lock, so it waits out every write in
+    /// flight.
+    round: RwLock<Option<SnapshotId>>,
+}
+
+impl CaptureFence {
+    /// Admit phase-1 writes of round `ssid` (and of no other round).
+    pub fn open(&self, ssid: SnapshotId) {
+        let _lo = lockorder::acquired(LockClass::CaptureFence);
+        *self.round.write() = Some(ssid);
+    }
+
+    /// Run `write` as a write of round `ssid` if that round is open. False,
+    /// without running it, once the round is closed: the writer must write
+    /// nothing more.
+    pub fn admit(&self, ssid: SnapshotId, write: impl FnOnce()) -> bool {
+        let _lo = lockorder::acquired(LockClass::CaptureFence);
+        let round = self.round.read();
+        if *round != Some(ssid) {
+            return false;
+        }
+        write();
+        true
+    }
+
+    /// Close round `ssid`, waiting until no write of it is in flight.
+    pub fn close(&self, ssid: SnapshotId) {
+        let _lo = lockorder::acquired(LockClass::CaptureFence);
+        let mut round = self.round.write();
+        if *round == Some(ssid) {
+            *round = None;
+        }
+    }
+}
+
 /// Everything one checkpoint round needs.
 pub struct CoordinatorContext {
     /// The grid (registry + pruning targets).
@@ -150,11 +197,11 @@ impl Drop for RoundSpan {
     }
 }
 
-/// Funnel for *every* early exit of [`run_checkpoint`]: discard phase-1
-/// writes from all stores, release the registry id, count and log the
-/// abort. The registry abort is tolerant — a concurrent `crash()` may have
-/// already released the id — so an aborted round can never wedge the next
-/// `begin()`.
+/// Funnel for *every* early exit of [`run_checkpoint`]: close the round
+/// (waiting out its in-flight writes), discard phase-1 writes from all
+/// stores, release the registry id, count and log the abort. The registry
+/// abort is tolerant — a concurrent `crash()` may have already released the
+/// id — so an aborted round can never wedge the next `begin()`.
 fn abort_round(ctx: &CoordinatorContext, ssid: SnapshotId, reason: &str) -> SqError {
     let spans = ctx.grid.telemetry().spans();
     let mut abort_span = match spans.current_round() {
@@ -163,6 +210,7 @@ fn abort_round(ctx: &CoordinatorContext, ssid: SnapshotId, reason: &str) -> SqEr
     };
     abort_span.label("ssid", ssid.0);
     abort_span.label("reason", reason);
+    ctx.shared.captures.close(ssid);
     for store in &ctx.stores {
         store.discard(ssid);
     }
@@ -208,6 +256,7 @@ pub fn run_checkpoint(ctx: &CoordinatorContext) -> SqResult<SnapshotId> {
     // exits in the window are still handled by the in-loop `acked >= live`
     // re-check.
     let expected = ctx.shared.live_instances.load(Ordering::Acquire) as usize;
+    ctx.shared.captures.open(ssid);
     for ctl in &ctx.source_controls {
         // A dropped source control means the job is shutting down.
         if ctl.send(SourceCommand::Marker(ssid)).is_err() {
@@ -284,6 +333,8 @@ pub fn run_checkpoint(ctx: &CoordinatorContext) -> SqResult<SnapshotId> {
         // Not everyone acked: abort, discard phase-1 writes.
         return Err(abort_round(ctx, ssid, &format!("{acked}/{expected} acks")));
     }
+    // Phase 1 is over: every ack means that instance's writes are done.
+    ctx.shared.captures.close(ssid);
     let t1 = ctx.shared.clock.now_micros();
     phase1_span.label("acks", acked);
     drop(phase1_span);
@@ -563,6 +614,7 @@ mod tests {
             dead_workers: AtomicU32::new(0),
             coordinator_dead: AtomicBool::new(false),
             failure: Mutex::new(None),
+            captures: CaptureFence::default(),
         });
         let stores = vec![grid.snapshot_store("op")];
         (
@@ -580,6 +632,36 @@ mod tests {
             control_rxs,
             ack_tx,
         )
+    }
+
+    /// The fence admits writes of the open round only, and closing the
+    /// round waits for a write in flight.
+    #[test]
+    fn capture_fence_closes_behind_the_last_write() {
+        let fence = Arc::new(CaptureFence::default());
+        assert!(!fence.admit(SnapshotId(1), || {}), "nothing open yet");
+        fence.open(SnapshotId(1));
+        assert!(!fence.admit(SnapshotId(2), || {}), "another round");
+        let (started_tx, started_rx) = bounded(1);
+        let finished = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (fence, finished) = (Arc::clone(&fence), Arc::clone(&finished));
+            std::thread::spawn(move || {
+                fence.admit(SnapshotId(1), || {
+                    started_tx.send(()).unwrap();
+                    std::thread::sleep(Duration::from_millis(30));
+                    finished.store(true, Ordering::SeqCst);
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+        fence.close(SnapshotId(1));
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "close waited for the write"
+        );
+        assert!(writer.join().unwrap(), "the admitted write ran");
+        assert!(!fence.admit(SnapshotId(1), || panic!("closed")));
     }
 
     #[test]
@@ -758,6 +840,10 @@ mod tests {
         assert_eq!(ctx.grid.registry().latest_committed(), SnapshotId::NONE);
         assert_eq!(ctx.grid.registry().in_progress(), None, "id released");
         assert!(ctx.stores[0].stored_ssids().is_empty(), "write discarded");
+        assert!(
+            !ctx.shared.captures.admit(SnapshotId(1), || {}),
+            "the aborted round is closed to late writes"
+        );
         assert_eq!(ctx.stats.aborted(), 1);
     }
 

@@ -12,8 +12,9 @@
 //!   contract (§II).
 //! * **Aligned checkpoints** (§IV, Figure 3): the checkpoint coordinator
 //!   injects markers at the sources; multi-input operators align (buffering
-//!   records from channels whose marker already arrived), snapshot their
-//!   state, ack, and forward the marker. Exactly-once rollback recovery
+//!   records from channels whose marker already arrived), freeze their
+//!   state and forward the marker, while a background writer persists the
+//!   frozen state and acks. Exactly-once rollback recovery
 //!   restores operator state and source offsets from the latest committed
 //!   snapshot.
 //! * **2PC snapshot commit** (§IX-C): phase 1 = all instances have written

@@ -12,7 +12,9 @@
 //! rollback recovery of §IV that underpins both exactly-once processing and
 //! the isolation-level semantics of §VII.
 
-use crate::checkpoint::{CheckpointRecord, CheckpointStats, Coordinator, CoordinatorContext};
+use crate::checkpoint::{
+    CaptureFence, CheckpointRecord, CheckpointStats, Coordinator, CoordinatorContext,
+};
 use crate::dag::{JobSpec, VertexKind};
 use crate::message::Tagged;
 use crate::state::{SnapshotSink, StateBackend};
@@ -937,6 +939,7 @@ fn build_runtime(
         dead_workers: AtomicU32::new(0),
         coordinator_dead: AtomicBool::new(false),
         failure: parking_lot::Mutex::new(None),
+        captures: CaptureFence::default(),
     });
 
     // Input channels for every non-source instance.
@@ -1095,7 +1098,10 @@ fn build_runtime(
                         run_operator(
                             rx,
                             channels,
-                            OperatorKind::Stateful { op, state: backend },
+                            OperatorKind::Stateful {
+                                op,
+                                state: Box::new(backend),
+                            },
                             outs,
                             i,
                             shared,
@@ -1348,6 +1354,51 @@ mod tests {
         assert!(spans.iter().any(|s| s.kind == "snapshot_write"));
         assert!(spans.iter().any(|s| s.kind == "mirror_write"));
         job.stop();
+    }
+
+    /// Phase 1 explains its own cost: every committed round leaves one
+    /// marker-to-resume stall sample and one writer-time sample per stateful
+    /// instance, and every writer's `snapshot_capture` span nests under the
+    /// root span of its own round.
+    #[test]
+    fn committed_rounds_account_capture_stall_writer_time_and_spans() {
+        let env = env(StateConfig::live_and_snapshot());
+        env.grid().telemetry().spans().set_enabled(true);
+        let job = env.submit(sum_job(600, 6, 2)).unwrap();
+        job.wait_for_sink_count(600, Duration::from_secs(20))
+            .unwrap();
+        let rounds = 3u64;
+        for _ in 0..rounds {
+            job.checkpoint_now().unwrap();
+        }
+        // Joining the workers joins their writers: every sample is in.
+        job.stop();
+        let telemetry = env.grid().telemetry();
+        let samples = |name: &str| {
+            telemetry
+                .histograms()
+                .into_iter()
+                .find(|(k, _)| k.name == name)
+                .map(|(_, h)| h.count())
+                .unwrap_or(0)
+        };
+        assert_eq!(samples("state_capture_stall_us"), rounds * 2);
+        assert_eq!(samples("state_snapshot_us"), rounds * 2);
+        let spans = telemetry.spans().snapshot();
+        let captures: Vec<_> = spans
+            .iter()
+            .filter(|s| s.kind == "snapshot_capture")
+            .collect();
+        assert_eq!(captures.len() as u64, rounds * 2);
+        for capture in captures {
+            let round = spans
+                .iter()
+                .find(|s| Some(s.id) == capture.parent)
+                .expect("capture span has a parent");
+            assert_eq!(round.kind, "checkpoint_round");
+            assert_eq!(round.label("ssid"), capture.label("ssid"));
+            assert!(capture.end_us <= round.end_us, "written before commit");
+        }
     }
 
     #[test]

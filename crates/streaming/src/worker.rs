@@ -6,11 +6,17 @@
 //! tagged input queue and implement the marker-alignment protocol of the
 //! paper's Figure 3: once a channel delivers the marker for the in-flight
 //! checkpoint, its subsequent records are buffered until every channel has
-//! delivered (or reached end-of-stream); then the state snapshot is written
-//! (phase 1), the ack goes to the coordinator, the marker is forwarded, and
-//! the buffered records are replayed. This is what makes the written
-//! snapshots *consistent* and the recovery exactly-once.
+//! delivered (or reached end-of-stream); then a stateful instance freezes
+//! its state (phase 1's only step on the operator thread), the marker is
+//! forwarded, and the buffered records are replayed, while a background
+//! writer persists the frozen state and sends the ack to the coordinator
+//! with the frontier captured at the marker. A stateless or sink instance
+//! acks at once. The snapshot's content is fixed at the marker either way,
+//! which is what makes the written snapshots *consistent* and the recovery
+//! exactly-once. A writer death (panic, WAL error) counts as a worker
+//! death, so the coordinator aborts the round and the supervisor recovers.
 
+use crate::checkpoint::CaptureFence;
 use crate::dag::{EdgeKind, Sink, Stateful, Stateless};
 use crate::message::{Item, Record, Tagged};
 use crate::source::{Source, SourceStatus};
@@ -22,7 +28,7 @@ use squery_common::metrics::SharedHistogram;
 use squery_common::telemetry::{Counter, EventKind, Gauge, MetricsRegistry};
 use squery_common::time::Clock;
 use squery_common::trace::SpanGuard;
-use squery_common::{Partitioner, SnapshotId, Value};
+use squery_common::{Partitioner, SnapshotId, SqResult, Value};
 use squery_storage::SnapshotStore;
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
@@ -169,6 +175,8 @@ pub struct Shared {
     pub coordinator_dead: AtomicBool,
     /// The first caught panic message (`worker_failure`).
     pub failure: Mutex<Option<String>>,
+    /// The phase-1 write fence the coordinator opens and closes per round.
+    pub captures: CaptureFence,
 }
 
 impl Shared {
@@ -227,15 +235,47 @@ impl Shared {
         }
     }
 
-    /// Fault hook: the worker just acked phase 1 of `ssid` — the window
-    /// between checkpoint phase 1 and phase 2.
-    fn post_ack_fault(&self, operator: &str, instance: u32, ssid: SnapshotId) {
+    /// Fault hook: the worker finished its phase-1 step of `ssid` and has
+    /// not yet forwarded the marker — the window between checkpoint phase 1
+    /// and phase 2. Before a planned kill, `settle` waits for the instance's
+    /// ack to be out (a stateful instance joins its snapshot writer).
+    fn post_ack_fault(
+        &self,
+        operator: &str,
+        instance: u32,
+        ssid: SnapshotId,
+        settle: impl FnOnce(),
+    ) {
         let Some(injector) = &self.faults else { return };
         if let Some(FaultAction::PanicWorker) =
             injector.on_worker_post_ack(operator, instance, ssid.0)
         {
+            settle();
             self.fault_event(operator, Some(ssid.0), "killed after phase-1 ack".into());
             panic!("{INJECTED_PANIC_PREFIX}worker killed between phases of checkpoint {ssid}");
+        }
+    }
+
+    /// Fault hook on a background snapshot writer, before the last
+    /// partition write of its capture of `ssid`: a planned `PanicWorker`
+    /// kills the writer mid-capture, a `StallWorker` holds it (outside the
+    /// capture fence, so an abort need not wait the stall out).
+    fn capture_fault(&self, operator: &str, instance: u32, ssid: SnapshotId) {
+        let Some(injector) = &self.faults else { return };
+        match injector.on_snapshot_capture(operator, instance, ssid.0) {
+            Some(FaultAction::PanicWorker) => {
+                self.fault_event(operator, Some(ssid.0), "snapshot writer killed".into());
+                panic!("{INJECTED_PANIC_PREFIX}snapshot writer killed mid-capture of {ssid}");
+            }
+            Some(FaultAction::StallWorker { micros }) => {
+                self.fault_event(
+                    operator,
+                    Some(ssid.0),
+                    format!("snapshot writer stalled {micros}us"),
+                );
+                std::thread::sleep(Duration::from_micros(micros));
+            }
+            _ => {}
         }
     }
 
@@ -344,59 +384,6 @@ fn broadcast(item: &Item, outs: &[OutputPort]) {
     }
 }
 
-/// Advance an operator's event-time frontier to the minimum of its input
-/// channels' watermarks (an Eos channel holds `u64::MAX` so it stops
-/// gating the min). The frontier is monotonic; on advance it is published
-/// to the instance gauge (rebased into the unix-epoch domain so sys tables
-/// can compare it against persisted seal stamps and across clocks), sampled
-/// into the lag histogram, and forwarded on the engine clock.
-fn advance_frontier(
-    channel_wm: &[u64],
-    frontier: &mut u64,
-    wm_gauge: &Gauge,
-    tel: &WorkerTelemetry,
-    shared: &Shared,
-    outs: &[OutputPort],
-) {
-    let min = channel_wm.iter().copied().min().unwrap_or(0);
-    if min != u64::MAX && min > *frontier {
-        *frontier = min;
-        wm_gauge.set(shared.clock.to_epoch_micros(min) as i64);
-        tel.watermark_lag
-            .record(shared.clock.now_micros().saturating_sub(min));
-        broadcast(&Item::Watermark(min), outs);
-    }
-}
-
-/// Fold watermarks (and Eos releases, `u64::MAX`) parked during marker
-/// alignment into the live per-channel watermarks and re-derive the
-/// frontier. Runs after the snapshot ack and buffer replay, so the frontier
-/// only ever claims completeness for records that have actually been
-/// processed — and any resulting downstream watermark follows the records
-/// it promises about.
-#[allow(clippy::too_many_arguments)]
-fn apply_deferred_watermarks(
-    deferred_wm: &mut [u64],
-    channel_wm: &mut [u64],
-    frontier: &mut u64,
-    wm_gauge: &Gauge,
-    tel: &WorkerTelemetry,
-    shared: &Shared,
-    outs: &[OutputPort],
-) {
-    let mut any = false;
-    for (slot, d) in channel_wm.iter_mut().zip(deferred_wm.iter_mut()) {
-        if *d > 0 {
-            *slot = (*slot).max(*d);
-            *d = 0;
-            any = true;
-        }
-    }
-    if any {
-        advance_frontier(channel_wm, frontier, wm_gauge, tel, shared, outs);
-    }
-}
-
 /// The source-instance worker. The production loop runs under
 /// `catch_unwind` so a panicking source (organic or injected) cannot leave
 /// the job hanging: the death is recorded on [`Shared`] and the live count
@@ -472,7 +459,7 @@ fn source_loop(
             Ok(SourceCommand::Marker(ssid)) => {
                 offsets.save(ssid, source.offset());
                 shared.ack(ssid, if unordered { 0 } else { frontier });
-                shared.post_ack_fault(&tel.operator, my_instance, ssid);
+                shared.post_ack_fault(&tel.operator, my_instance, ssid, || {});
                 broadcast(&Item::Marker(ssid), &outs);
                 continue;
             }
@@ -489,7 +476,7 @@ fn source_loop(
                 Ok(SourceCommand::Marker(ssid)) => {
                     offsets.save(ssid, source.offset());
                     shared.ack(ssid, if unordered { 0 } else { frontier });
-                    shared.post_ack_fault(&tel.operator, my_instance, ssid);
+                    shared.post_ack_fault(&tel.operator, my_instance, ssid, || {});
                     broadcast(&Item::Marker(ssid), &outs);
                 }
                 Ok(SourceCommand::Stop) => {
@@ -584,7 +571,7 @@ pub enum OperatorKind {
         /// User logic.
         op: Box<dyn Stateful>,
         /// Engine-managed keyed state (snapshotting, write-through).
-        state: StateBackend,
+        state: Box<StateBackend>,
     },
     /// Terminal consumer; the worker records sink latency around it.
     Sink(Box<dyn Sink>),
@@ -618,62 +605,33 @@ pub fn run_operator(
 fn operator_loop(
     rx: Receiver<Tagged>,
     n_channels: u32,
-    mut kind: OperatorKind,
+    kind: OperatorKind,
     outs: Vec<OutputPort>,
-    my_instance: u32,
-    shared: &Shared,
+    instance: u32,
+    shared: &Arc<Shared>,
     tel: &WorkerTelemetry,
 ) {
-    let partitioner = shared.partitioner;
-    let mut aligned: HashSet<u32> = HashSet::new();
-    let mut eos: HashSet<u32> = HashSet::new();
-    let mut pending_marker: Option<SnapshotId> = None;
-    let mut align_started: Option<Instant> = None;
-    let mut align_span: Option<SpanGuard> = None;
-    let mut buffer: Vec<Record> = Vec::new();
-    let mut out_buf: Vec<Record> = Vec::new();
-    let mut received: u64 = 0;
-    // Per-input-channel watermark; the operator frontier is their min.
-    let mut channel_wm: Vec<u64> = vec![0; n_channels as usize];
-    // Watermarks (and Eos releases) arriving on an already-aligned channel
-    // while a marker round is open: like post-marker records, they belong to
-    // the next checkpoint epoch, so they park here (u64::MAX = deferred Eos
-    // release) and apply only after the snapshot ack — otherwise the acked
-    // frontier would claim event-time completeness for records that are
-    // merely buffered, and a watermark could overtake them downstream.
-    let mut deferred_wm: Vec<u64> = vec![0; n_channels as usize];
-    let mut frontier: u64 = 0;
-    let wm_gauge = tel.watermark_gauge(my_instance);
-
-    let tel_ref = tel;
-    let process = |record: Record,
-                   kind: &mut OperatorKind,
-                   out_buf: &mut Vec<Record>,
-                   shared: &Shared|
-     -> bool {
-        out_buf.clear();
-        match kind {
-            OperatorKind::Stateless(op) => op.process(record, out_buf),
-            OperatorKind::Stateful { op, state } => op.process(record, state, out_buf),
-            OperatorKind::Sink(sink) => {
-                let now = shared.clock.now_micros();
-                let lag = now.saturating_sub(record.src_ts);
-                shared.latency.record(lag);
-                tel_ref.e2e_lag.record(lag);
-                shared.sink_count.fetch_add(1, Ordering::Relaxed);
-                sink.consume(record);
-            }
-        }
-        tel_ref.records_out.add(out_buf.len() as u64);
-        for r in out_buf.iter() {
-            if !route_record(r, &outs, my_instance, &partitioner) {
-                return false;
-            }
-        }
-        true
+    let mut w = OperatorWorker {
+        kind,
+        outs,
+        instance,
+        shared,
+        tel,
+        out_buf: Vec::new(),
+        n_channels: n_channels as usize,
+        aligned: HashSet::new(),
+        eos: HashSet::new(),
+        pending_marker: None,
+        align_started: None,
+        align_span: None,
+        buffer: Vec::new(),
+        channel_wm: vec![0; n_channels as usize],
+        deferred_wm: vec![0; n_channels as usize],
+        frontier: 0,
+        wm_gauge: tel.watermark_gauge(instance),
     };
-
-    'outer: loop {
+    let mut received: u64 = 0;
+    loop {
         if shared.poisoned() {
             break;
         }
@@ -686,146 +644,276 @@ fn operator_loop(
             Item::Record(record) => {
                 tel.records_in.inc();
                 received += 1;
-                shared.worker_record_fault(&tel.operator, my_instance, received);
-                if pending_marker.is_some() && aligned.contains(&tagged.from) {
+                shared.worker_record_fault(&tel.operator, instance, received);
+                if w.pending_marker.is_some() && w.aligned.contains(&tagged.from) {
                     // Figure 3a: this channel already delivered the marker;
                     // its records belong to the next checkpoint epoch.
-                    buffer.push(record);
-                } else if !process(record, &mut kind, &mut out_buf, shared) {
+                    w.buffer.push(record);
+                } else if !w.process(record) {
                     break;
                 }
             }
             Item::Marker(ssid) => {
-                aligned.insert(tagged.from);
-                if pending_marker.is_none() {
-                    align_started = Some(Instant::now());
+                w.aligned.insert(tagged.from);
+                if w.pending_marker.is_none() {
+                    w.align_started = Some(Instant::now());
                     let mut span = span_under_round(shared, "marker_align");
                     span.label("operator", &tel.operator);
-                    span.label("instance", my_instance);
+                    span.label("instance", instance);
                     span.label("ssid", ssid.0);
-                    align_span = Some(span);
+                    w.align_span = Some(span);
                 }
-                pending_marker = Some(ssid);
-                if aligned.len() + eos.iter().filter(|c| !aligned.contains(c)).count()
-                    >= n_channels as usize
-                {
-                    // Figure 3b/3c: all channels aligned — snapshot, ack,
-                    // forward, resume.
-                    if let Some(s) = align_started.take() {
-                        tel.aligned(ssid, s.elapsed().as_micros() as u64);
-                    }
-                    drop(align_span.take());
-                    if let OperatorKind::Stateful { state, .. } = &mut kind {
-                        let mut snap = span_under_round(shared, "snapshot_write");
-                        snap.label("operator", &tel.operator);
-                        snap.label("ssid", ssid.0);
-                        if state.snapshot(ssid).is_err() {
-                            break;
-                        }
-                    }
-                    shared.ack(ssid, frontier);
-                    shared.post_ack_fault(&tel.operator, my_instance, ssid);
-                    broadcast(&Item::Marker(ssid), &outs);
-                    pending_marker = None;
-                    aligned.clear();
-                    for record in buffer.drain(..) {
-                        if !process(record, &mut kind, &mut out_buf, shared) {
-                            break 'outer;
-                        }
-                    }
-                    // Next epoch begins: watermarks deferred during the
-                    // round apply after the replayed records they followed.
-                    apply_deferred_watermarks(
-                        &mut deferred_wm,
-                        &mut channel_wm,
-                        &mut frontier,
-                        &wm_gauge,
-                        tel,
-                        shared,
-                        &outs,
-                    );
+                w.pending_marker = Some(ssid);
+                if w.all_aligned() && !w.complete_round(ssid) {
+                    break;
                 }
             }
             Item::Watermark(wm) => {
-                if pending_marker.is_some() && aligned.contains(&tagged.from) {
+                if w.pending_marker.is_some() && w.aligned.contains(&tagged.from) {
                     // Post-marker watermark on an aligned channel: its
                     // records are buffered out of the cut, so its promise
                     // must not raise the acked frontier (nor overtake the
                     // buffered records downstream). Park it until alignment
                     // completes — deferring a watermark only loosens it,
                     // which is always sound.
-                    if let Some(slot) = deferred_wm.get_mut(tagged.from as usize) {
+                    if let Some(slot) = w.deferred_wm.get_mut(tagged.from as usize) {
                         *slot = (*slot).max(wm);
                     }
                 } else {
-                    if let Some(slot) = channel_wm.get_mut(tagged.from as usize) {
+                    if let Some(slot) = w.channel_wm.get_mut(tagged.from as usize) {
                         *slot = (*slot).max(wm);
                     }
-                    advance_frontier(&channel_wm, &mut frontier, &wm_gauge, tel, shared, &outs);
+                    w.advance_frontier();
                 }
             }
             Item::Eos => {
-                let was_aligned = pending_marker.is_some() && aligned.contains(&tagged.from);
-                eos.insert(tagged.from);
+                let was_aligned = w.pending_marker.is_some() && w.aligned.contains(&tagged.from);
+                w.eos.insert(tagged.from);
                 // A finished channel stops gating the watermark min — but if
                 // it already delivered this round's marker, its buffered
                 // post-marker records are outside the cut, so the release is
                 // deferred with the rest of its next-epoch watermarks.
                 if was_aligned {
-                    if let Some(slot) = deferred_wm.get_mut(tagged.from as usize) {
+                    if let Some(slot) = w.deferred_wm.get_mut(tagged.from as usize) {
                         *slot = u64::MAX;
                     }
                 } else {
-                    if let Some(slot) = channel_wm.get_mut(tagged.from as usize) {
+                    if let Some(slot) = w.channel_wm.get_mut(tagged.from as usize) {
                         *slot = u64::MAX;
                     }
-                    advance_frontier(&channel_wm, &mut frontier, &wm_gauge, tel, shared, &outs);
+                    w.advance_frontier();
                 }
                 // An Eos channel counts as aligned for any pending marker.
-                if let Some(ssid) = pending_marker {
-                    if aligned.len() + eos.iter().filter(|c| !aligned.contains(c)).count()
-                        >= n_channels as usize
-                    {
-                        if let Some(s) = align_started.take() {
-                            tel.aligned(ssid, s.elapsed().as_micros() as u64);
-                        }
-                        drop(align_span.take());
-                        if let OperatorKind::Stateful { state, .. } = &mut kind {
-                            let mut snap = span_under_round(shared, "snapshot_write");
-                            snap.label("operator", &tel.operator);
-                            snap.label("ssid", ssid.0);
-                            if state.snapshot(ssid).is_err() {
-                                break;
-                            }
-                        }
-                        shared.ack(ssid, frontier);
-                        shared.post_ack_fault(&tel.operator, my_instance, ssid);
-                        broadcast(&Item::Marker(ssid), &outs);
-                        pending_marker = None;
-                        aligned.clear();
-                        for record in buffer.drain(..) {
-                            if !process(record, &mut kind, &mut out_buf, shared) {
-                                break 'outer;
-                            }
-                        }
-                        apply_deferred_watermarks(
-                            &mut deferred_wm,
-                            &mut channel_wm,
-                            &mut frontier,
-                            &wm_gauge,
-                            tel,
-                            shared,
-                            &outs,
-                        );
+                if let Some(ssid) = w.pending_marker {
+                    if w.all_aligned() && !w.complete_round(ssid) {
+                        break;
                     }
                 }
-                if eos.len() >= n_channels as usize {
-                    broadcast(&Item::Eos, &outs);
+                if w.eos.len() >= w.n_channels {
+                    broadcast(&Item::Eos, &w.outs);
                     break;
                 }
             }
         }
     }
+}
+
+/// One operator instance's loop state: what it runs, where its output
+/// goes, and the marker round it has open.
+struct OperatorWorker<'a> {
+    kind: OperatorKind,
+    outs: Vec<OutputPort>,
+    instance: u32,
+    shared: &'a Arc<Shared>,
+    tel: &'a WorkerTelemetry,
+    out_buf: Vec<Record>,
+    n_channels: usize,
+    /// Channels that delivered the open round's marker.
+    aligned: HashSet<u32>,
+    /// Channels that reached end-of-stream.
+    eos: HashSet<u32>,
+    pending_marker: Option<SnapshotId>,
+    align_started: Option<Instant>,
+    align_span: Option<SpanGuard>,
+    /// Records of aligned channels, held until the round completes.
+    buffer: Vec<Record>,
+    /// Per-input-channel watermark; the operator frontier is their min.
+    channel_wm: Vec<u64>,
+    /// Watermarks (and Eos releases) arriving on an already-aligned channel
+    /// while a marker round is open: like post-marker records, they belong
+    /// to the next checkpoint epoch, so they park here (u64::MAX = deferred
+    /// Eos release) and apply only after the round completes — otherwise
+    /// the acked frontier would claim event-time completeness for records
+    /// that are merely buffered, and a watermark could overtake them
+    /// downstream.
+    deferred_wm: Vec<u64>,
+    frontier: u64,
+    wm_gauge: Gauge,
+}
+
+impl OperatorWorker<'_> {
+    /// Run one record through the operator and route its output; false if
+    /// a downstream channel is gone.
+    fn process(&mut self, record: Record) -> bool {
+        self.out_buf.clear();
+        match &mut self.kind {
+            OperatorKind::Stateless(op) => op.process(record, &mut self.out_buf),
+            OperatorKind::Stateful { op, state } => {
+                op.process(record, &mut **state, &mut self.out_buf)
+            }
+            OperatorKind::Sink(sink) => {
+                let now = self.shared.clock.now_micros();
+                let lag = now.saturating_sub(record.src_ts);
+                self.shared.latency.record(lag);
+                self.tel.e2e_lag.record(lag);
+                self.shared.sink_count.fetch_add(1, Ordering::Relaxed);
+                sink.consume(record);
+            }
+        }
+        self.tel.records_out.add(self.out_buf.len() as u64);
+        let partitioner = self.shared.partitioner;
+        self.out_buf
+            .iter()
+            .all(|r| route_record(r, &self.outs, self.instance, &partitioner))
+    }
+
+    /// Whether every channel delivered the open round's marker or ended.
+    fn all_aligned(&self) -> bool {
+        self.aligned.len()
+            + self
+                .eos
+                .iter()
+                .filter(|c| !self.aligned.contains(c))
+                .count()
+            >= self.n_channels
+    }
+
+    /// Figure 3b/3c: every channel aligned on `ssid`. Phase 1 on this
+    /// thread — freeze the state (its writer acks) or ack — then forward
+    /// the marker, replay the buffered records, and apply the deferred
+    /// watermarks. False when the loop must stop.
+    fn complete_round(&mut self, ssid: SnapshotId) -> bool {
+        let aligned_at = Instant::now();
+        if let Some(s) = self.align_started.take() {
+            self.tel.aligned(ssid, s.elapsed().as_micros() as u64);
+        }
+        drop(self.align_span.take());
+        let (shared, tel, instance) = (self.shared, self.tel, self.instance);
+        match &mut self.kind {
+            OperatorKind::Stateful { state, .. } => {
+                let mut span = span_under_round(shared, "snapshot_write");
+                span.label("operator", &tel.operator);
+                span.label("ssid", ssid.0);
+                if freeze_state(state, ssid, self.frontier, shared, &tel.operator, instance)
+                    .is_err()
+                {
+                    return false;
+                }
+            }
+            _ => shared.ack(ssid, self.frontier),
+        }
+        shared.post_ack_fault(&tel.operator, instance, ssid, || {
+            if let OperatorKind::Stateful { state, .. } = &mut self.kind {
+                let _ = state.settle();
+            }
+        });
+        broadcast(&Item::Marker(ssid), &self.outs);
+        if let OperatorKind::Stateful { state, .. } = &self.kind {
+            state.record_capture_stall(aligned_at.elapsed());
+        }
+        self.pending_marker = None;
+        self.aligned.clear();
+        let mut buffer = std::mem::take(&mut self.buffer);
+        for record in buffer.drain(..) {
+            if !self.process(record) {
+                return false;
+            }
+        }
+        self.buffer = buffer;
+        // Next epoch begins: watermarks deferred during the round apply
+        // after the replayed records they followed.
+        self.apply_deferred_watermarks();
+        true
+    }
+
+    /// Advance the event-time frontier to the minimum of the input
+    /// channels' watermarks (an Eos channel holds `u64::MAX` so it stops
+    /// gating the min). The frontier is monotonic; on advance it is
+    /// published to the instance gauge (rebased into the unix-epoch domain
+    /// so sys tables can compare it against persisted seal stamps and
+    /// across clocks), sampled into the lag histogram, and forwarded on the
+    /// engine clock.
+    fn advance_frontier(&mut self) {
+        let min = self.channel_wm.iter().copied().min().unwrap_or(0);
+        if min != u64::MAX && min > self.frontier {
+            self.frontier = min;
+            self.wm_gauge
+                .set(self.shared.clock.to_epoch_micros(min) as i64);
+            self.tel
+                .watermark_lag
+                .record(self.shared.clock.now_micros().saturating_sub(min));
+            broadcast(&Item::Watermark(min), &self.outs);
+        }
+    }
+
+    /// Fold watermarks (and Eos releases, `u64::MAX`) parked during marker
+    /// alignment into the live per-channel watermarks and re-derive the
+    /// frontier. Runs after the round's phase-1 step and buffer replay, so
+    /// the frontier only ever claims completeness for records that have
+    /// actually been processed — and any resulting downstream watermark
+    /// follows the records it promises about.
+    fn apply_deferred_watermarks(&mut self) {
+        let mut any = false;
+        for (slot, d) in self.channel_wm.iter_mut().zip(self.deferred_wm.iter_mut()) {
+            if *d > 0 {
+                *slot = (*slot).max(*d);
+                *d = 0;
+                any = true;
+            }
+        }
+        if any {
+            self.advance_frontier();
+        }
+    }
+}
+
+/// Phase 1 of a stateful instance on its own thread: freeze the state for
+/// `ssid` and hand it to a background writer. The writer writes through the
+/// job's capture fence, then acks with `frontier` (captured here, at the
+/// marker); a writer the fence stopped does not ack, and a writer panic is
+/// recorded as a worker death so the coordinator aborts at once.
+fn freeze_state(
+    state: &mut StateBackend,
+    ssid: SnapshotId,
+    frontier: u64,
+    shared: &Arc<Shared>,
+    operator: &str,
+    instance: u32,
+) -> SqResult<()> {
+    let admit = {
+        let shared = Arc::clone(shared);
+        let operator = operator.to_string();
+        move |i: usize, n: usize, write: &mut dyn FnMut()| {
+            if i + 1 == n {
+                shared.capture_fault(&operator, instance, ssid);
+            }
+            shared.captures.admit(ssid, write)
+        }
+    };
+    let done = {
+        let shared = Arc::clone(shared);
+        let operator = operator.to_string();
+        move |outcome: std::thread::Result<bool>| match outcome {
+            Ok(true) => shared.ack(ssid, frontier),
+            Ok(false) => {}
+            Err(payload) => shared.note_worker_panic(
+                &operator,
+                instance,
+                &format!("snapshot writer: {}", panic_text(payload)),
+            ),
+        }
+    };
+    state.capture(ssid, admit, done)
 }
 
 #[cfg(test)]
@@ -851,6 +939,7 @@ mod tests {
                 dead_workers: AtomicU32::new(0),
                 coordinator_dead: AtomicBool::new(false),
                 failure: Mutex::new(None),
+                captures: CaptureFence::default(),
             }),
             ack_rx,
         )
@@ -1089,6 +1178,7 @@ mod tests {
             dead_workers: AtomicU32::new(0),
             coordinator_dead: AtomicBool::new(false),
             failure: Mutex::new(None),
+            captures: CaptureFence::default(),
         });
         let (tx, rx) = unbounded::<Tagged>();
         struct Null;

@@ -184,7 +184,7 @@ run_tsan() {
     # ThreadSanitizer pass (DESIGN.md §9): the streaming crate's unit tests
     # (checkpoint + worker handoffs), the worker pool's own tests
     # (squery_common::morsel) and the SQL executor's morsel-driven tests
-    # (exec::tests::parallel_*), and a short chaos seed slice, compiled
+    # (exec::tests::parallel_*), and two short chaos seed slices, compiled
     # with -Zsanitizer=thread. The prebuilt std is uninstrumented — hence
     # -Cunsafe-allow-abi-mismatch and the libtest-channel suppressions in
     # scripts/tsan.supp; every squery crate IS instrumented and never
@@ -200,7 +200,7 @@ run_tsan() {
     local topts="suppressions=$PWD/scripts/tsan.supp"
     local host
     host=$(rustc -vV | sed -n 's/^host: //p')
-    echo "==> tsan (streaming unit tests + worker pool + morsel executor + chaos slice, -> $log)" &&
+    echo "==> tsan (streaming unit tests + worker pool + morsel executor + chaos slices, -> $log)" &&
         mkdir -p "$(dirname "$log")" &&
         RUSTFLAGS="$rustflags" CARGO_TARGET_DIR=target/tsan TSAN_OPTIONS="$topts" \
             cargo +nightly test --offline -q -p squery-streaming --lib \
@@ -214,6 +214,12 @@ run_tsan() {
         RUSTFLAGS="$rustflags" CARGO_TARGET_DIR=target/tsan TSAN_OPTIONS="$topts" \
             cargo +nightly run --offline -q -p squery-bench --bin chaos \
             --target "$host" -- --seeds 3 --base-seed 1 --time-budget-secs 120 \
+            2>&1 | tee -a "$log" &&
+        # Seeds 5 and 6 draw the snapshot-writer fault (a stall, then a
+        # writer death mid-capture): the background capture under TSan.
+        RUSTFLAGS="$rustflags" CARGO_TARGET_DIR=target/tsan TSAN_OPTIONS="$topts" \
+            cargo +nightly run --offline -q -p squery-bench --bin chaos \
+            --target "$host" -- --seeds 2 --base-seed 5 --time-budget-secs 120 \
             2>&1 | tee -a "$log"
 }
 

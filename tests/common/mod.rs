@@ -95,6 +95,17 @@ pub fn gated_counter_system_with(
     parallelism: u32,
 ) -> (SQuery, JobHandle, Arc<AtomicU64>) {
     let system = SQuery::new(config).expect("bring up S-QUERY");
+    let (job, allowance) = gated_counter_job(&system, keys, parallelism);
+    (system, job, allowance)
+}
+
+/// Submit the gated counting job (source `events` → stateful `count` →
+/// sink) to an existing system, e.g. one with a fault injector attached.
+pub fn gated_counter_job(
+    system: &SQuery,
+    keys: u64,
+    parallelism: u32,
+) -> (JobHandle, Arc<AtomicU64>) {
     let allowance = Arc::new(AtomicU64::new(0));
     let mut b = JobSpec::builder("gated-counter");
     let src = b.source(
@@ -117,7 +128,7 @@ pub fn gated_counter_system_with(
     let job = system
         .submit(b.build().expect("valid spec"))
         .expect("submit");
-    (system, job, allowance)
+    (job, allowance)
 }
 
 /// Release `n` more events and wait for them to reach the sink.

@@ -3,11 +3,13 @@
 
 mod common;
 
-use common::{advance, gated_counter_system};
-use squery::{StateConfig, StateView};
+use common::{advance, gated_counter_job, gated_counter_system};
+use squery::{SQuery, SQueryConfig, StateConfig, StateView};
 use squery_common::config::{ClusterConfig, NetworkConfig};
-use squery_common::{NodeId, Value};
+use squery_common::fault::{FaultAction, FaultPlan, FaultSpec, FaultTrigger, InjectionPoint};
+use squery_common::{NodeId, SnapshotId, Value};
 use squery_storage::Grid;
+use std::time::Duration;
 
 /// Exactly-once across repeated crash/recover cycles: after every recovery
 /// the per-key counts equal the number of events released, regardless of
@@ -166,5 +168,128 @@ fn checkpoints_survive_source_exhaustion() {
             .unwrap();
         assert_eq!(rs.scalar("total"), Some(&Value::Int(10)));
     }
+    job.stop();
+}
+
+/// A background snapshot writer stalled past the ack timeout, mid-capture:
+/// the round aborts through the coordinator's abort path, and once the
+/// writer wakes (to a closed round) nothing of that snapshot id is left — no
+/// version in the store and no WAL frame on disk. The next round, which
+/// changes no key, still reads exactly the counted state (the aborted delta
+/// makes it a complete view), through the columnar engine and the row
+/// reference alike.
+#[test]
+fn stalled_capture_past_the_ack_timeout_leaves_nothing_behind() {
+    let dir = std::env::temp_dir().join(format!("squery-stalled-capture-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let system = SQuery::new(
+        SQueryConfig::default()
+            .with_state(StateConfig::live_and_snapshot())
+            .incremental()
+            .with_wal_dir(&dir)
+            .with_ack_timeout(Duration::from_millis(200))
+            .with_checkpoint_retries(0, Duration::from_millis(1)),
+    )
+    .unwrap();
+    let stall = Duration::from_millis(700);
+    system.inject_faults(FaultPlan::new(0).with(FaultSpec {
+        point: InjectionPoint::SnapshotCapture,
+        action: FaultAction::StallWorker {
+            micros: stall.as_micros() as u64,
+        },
+        trigger: FaultTrigger {
+            at_ssid: Some(2),
+            operator: Some("count".into()),
+            instance: Some(0),
+            ..FaultTrigger::default()
+        },
+        once: true,
+    }));
+    let (job, allowance) = gated_counter_job(&system, 20, 2);
+    let grid = system.grid();
+    let store = grid.get_snapshot_store("count").unwrap();
+    let wal_bytes = || {
+        grid.wal()
+            .expect("WAL attached")
+            .store_stats()
+            .iter()
+            .find(|s| s.store == "count")
+            .map(|s| s.bytes)
+            .expect("count store logs")
+    };
+
+    advance(&job, &allowance, 200);
+    assert_eq!(job.checkpoint_now().unwrap(), SnapshotId(1));
+    let committed_bytes = wal_bytes();
+    // Every key changes before round 2, so round 2's delta is every key.
+    advance(&job, &allowance, 300);
+    let err = job.checkpoint_now().unwrap_err();
+    assert!(err.to_string().contains("checkpoint ss2 aborted"), "{err}");
+    assert_eq!(job.checkpoint_stats().aborted(), 1);
+    // Wait the stall out: the writer wakes to a closed round.
+    std::thread::sleep(stall + Duration::from_millis(200));
+    assert!(store.is_discarded(SnapshotId(2)));
+    assert!(
+        !store.stored_ssids().contains(&SnapshotId(2)),
+        "no version of the aborted round"
+    );
+    assert_eq!(
+        wal_bytes(),
+        committed_bytes,
+        "no WAL frame of the aborted round"
+    );
+
+    // Round 3 changes no key: a delta of it alone would miss round 2's.
+    let ssid = job.checkpoint_now().unwrap();
+    assert_eq!(ssid, SnapshotId(3));
+    let sql = "SELECT partitionKey, this FROM snapshot_count";
+    let rows = system.query(sql).unwrap().sorted_rows();
+    assert_eq!(rows, system.query_reference(sql).unwrap().sorted_rows());
+    assert_eq!(rows.len(), 20);
+    assert!(
+        rows.iter().all(|r| r[1] == Value::Int(15)),
+        "every key counted 300 / 20 times: {rows:?}"
+    );
+    job.stop();
+    drop(system);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An incremental round aborted after every capture finished (its ack lost
+/// on the wire) must not lose its changes: the next committed round reads
+/// the counted state. (Before a discarded round made the next capture a
+/// complete view, that round's delta omitted the aborted round's keys, and
+/// this read 10 per key.)
+#[test]
+fn aborted_incremental_round_keeps_its_changes() {
+    let system = SQuery::new(
+        SQueryConfig::default()
+            .with_state(StateConfig::live_and_snapshot())
+            .incremental()
+            .with_ack_timeout(Duration::from_millis(200))
+            .with_checkpoint_retries(0, Duration::from_millis(1)),
+    )
+    .unwrap();
+    system.inject_faults(FaultPlan::new(0).with(FaultSpec {
+        point: InjectionPoint::Phase1Ack,
+        action: FaultAction::DropAck,
+        trigger: FaultTrigger {
+            at_ssid: Some(2),
+            ..FaultTrigger::default()
+        },
+        once: true,
+    }));
+    let (job, allowance) = gated_counter_job(&system, 20, 2);
+    advance(&job, &allowance, 200);
+    job.checkpoint_now().unwrap();
+    advance(&job, &allowance, 300);
+    job.checkpoint_now().unwrap_err();
+    job.checkpoint_now().unwrap();
+    let rows = system
+        .query("SELECT partitionKey, this FROM snapshot_count")
+        .unwrap()
+        .sorted_rows();
+    assert_eq!(rows.len(), 20);
+    assert!(rows.iter().all(|r| r[1] == Value::Int(15)), "{rows:?}");
     job.stop();
 }
